@@ -102,7 +102,9 @@ const BATCH_USERS: usize = 1024;
 /// CDF, so two colliding profiles are guaranteed equal results and a hit
 /// can never change anything. (Low-post-count profiles hit constantly: a
 /// user with k active slots has a small finite set of possible CDFs.)
-type CdfKey = Box<[u64]>;
+/// Shared, not boxed: the cache's map and its clock ring hold the same
+/// key, so each resident entry stores its words once.
+type CdfKey = std::sync::Arc<[u64]>;
 
 /// Everything placement derives from one CDF: the EMD-closest zone, its
 /// distance, and the §IV.C flatness verdict. A pure function of the CDF

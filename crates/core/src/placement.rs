@@ -149,6 +149,20 @@ impl Serialize for UserPlacement {
         }
         serde::Value::object(fields)
     }
+
+    fn write_json(&self, out: &mut serde::JsonWriter) {
+        out.raw("{\"user\":");
+        self.user.write_json(out);
+        out.raw(",\"zone_hours\":");
+        self.zone_hours.write_json(out);
+        out.raw(",\"emd\":");
+        self.emd.write_json(out);
+        if self.zone_minutes != 0 {
+            out.raw(",\"zone_minutes\":");
+            self.zone_minutes.write_json(out);
+        }
+        out.raw("}");
+    }
 }
 
 impl Deserialize for UserPlacement {

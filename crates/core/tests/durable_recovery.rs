@@ -7,14 +7,21 @@
 //! to a never-crashed engine fed the same deltas.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crowdtz_core::{GeolocationPipeline, StreamingPipeline, ZoneGrid};
 use crowdtz_store::{FaultPlan, FaultStore};
 use crowdtz_time::Timestamp;
 use proptest::prelude::*;
 
+/// A fresh directory for one test: the counter makes every call's path
+/// unique, so tests (or property cases) sharing a tag never wipe each
+/// other's state.
 fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("crowdtz-durable-{tag}-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("crowdtz-durable-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -12,6 +12,7 @@
 //! ```
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crowdtz_core::{ConcurrentStreamingPipeline, GeolocationPipeline, StreamingPipeline};
 use crowdtz_store::{encode_record, LOG_FILE};
@@ -22,8 +23,13 @@ const FIXTURE: &str = concat!(
     "/tests/fixtures/legacy-deltas.log"
 );
 
+/// A fresh directory for one test: the counter makes every call's path
+/// unique, so tests (or property cases) sharing a tag never wipe each
+/// other's state.
 fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("crowdtz-legacy-{tag}-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("crowdtz-legacy-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -6,6 +6,7 @@
 //! kill-and-restart that replays the signed write-ahead log.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crowdtz_core::{
     ConcurrentStreamingPipeline, GeolocationPipeline, WindowConfig, WindowedPipeline, ZoneGrid,
@@ -23,8 +24,13 @@ const ROUNDS: usize = 6;
 const USERS: usize = 8;
 const PER_USER: usize = 3;
 
+/// A fresh directory for one test: the counter makes every call's path
+/// unique, so tests (or property cases) sharing a tag never wipe each
+/// other's state.
 fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("crowdtz-window-{tag}-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("crowdtz-window-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
