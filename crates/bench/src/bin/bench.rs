@@ -39,9 +39,9 @@ use std::time::Instant;
 
 use crowdtz_bench::{synthetic_profiles, synthetic_traces};
 use crowdtz_core::{
-    bootstrap_components_threads, clamped_threads, default_threads, place_user, BootstrapConfig,
-    ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline, PlacementEngine,
-    StreamingPipeline, ZoneGrid,
+    bootstrap_components_threads, clamped_threads, default_threads, place_user, Batch,
+    BootstrapConfig, ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline,
+    IngestWriter, PlacementEngine, StreamingPipeline, ZoneGrid,
 };
 use crowdtz_time::Timestamp;
 
@@ -411,7 +411,11 @@ fn ingest_bench(users: usize, host_cpus: usize, out_path: &str) {
                                     .iter()
                                     .map(|(user, posts)| (user.as_str(), posts.as_slice()))
                                     .collect();
-                                writer.ingest_deltas(&deltas).expect("plain ingest");
+                                let batch = Batch {
+                                    ingest: &deltas,
+                                    ..Batch::default()
+                                };
+                                writer.apply(&batch).expect("plain ingest");
                             }
                         });
                     }
@@ -792,48 +796,56 @@ fn durability_bench(users: usize, threads: usize, host_cpus: usize, out_path: &s
         .flat_map(|t| t.posts().iter().map(|&ts| (t.id().to_owned(), ts)))
         .collect();
 
+    // One sequenced monitor batch of single-post observations. Nothing
+    // publishes, so the log suffix grows to exactly the lengths under
+    // test; rotation is timed separately below.
+    let apply = |writer: &IngestWriter, source_seq: u64, posts: &[(String, Timestamp)]| {
+        let ingest: Vec<(&str, &[Timestamp])> = posts
+            .iter()
+            .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)))
+            .collect();
+        let batch = Batch {
+            ingest: &ingest,
+            source_seq,
+            ..Batch::default()
+        };
+        writer.apply(&batch).expect("delta");
+    };
+    let open = || ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).expect("open");
+
     eprintln!("building the durable state ({long_suffix}-record suffix)…");
     {
-        let mut engine =
-            StreamingPipeline::open_durable(pipeline(), &dir).expect("open durable engine");
-        // Rotation is timed separately below; disable the automatic one
-        // so the log suffix grows to exactly the lengths under test.
-        engine.snapshot_every_bytes(u64::MAX);
-        engine
-            .ingest_batch(1, &primer, None)
-            .expect("ingest primer batch");
+        let engine = open();
+        let writer = engine.writer();
+        apply(&writer, 1, &primer);
         engine.checkpoint_now().expect("primer snapshot");
         for b in 1..=short_suffix {
-            engine.ingest_batch(1 + b, &delta(b), None).expect("delta");
+            apply(&writer, 1 + b, &delta(b));
         }
     }
     let runs = 3;
     let warm_open = |label: &str| {
         eprintln!("timing warm open ({label}, best of {runs})…");
-        time_best(runs, || {
-            StreamingPipeline::open_durable(pipeline(), &dir).expect("warm open")
-        })
+        time_best(runs, open)
     };
     let warm_short_s = warm_open("short suffix");
     let (_, rec) = crowdtz_store::DurableStore::open(&dir).expect("store stats");
     let short_records = rec.stats.records_replayed;
 
     // Same crawl, longer un-snapshotted suffix.
-    let mut engine =
-        StreamingPipeline::open_durable(pipeline(), &dir).expect("reopen durable engine");
-    engine.snapshot_every_bytes(u64::MAX);
+    let engine = open();
+    let writer = engine.writer();
     for b in short_suffix + 1..=long_suffix {
-        engine.ingest_batch(1 + b, &delta(b), None).expect("delta");
+        apply(&writer, 1 + b, &delta(b));
     }
-    drop(engine);
+    drop((writer, engine));
     let warm_long_s = warm_open("long suffix");
     let (_, rec) = crowdtz_store::DurableStore::open(&dir).expect("store stats");
     let long_records = rec.stats.records_replayed;
 
     // Snapshot rotation: fold the long suffix into a new generation and
     // compact the log. Timed once — the first call does the real work.
-    let mut engine =
-        StreamingPipeline::open_durable(pipeline(), &dir).expect("reopen for rotation");
+    let engine = open();
     let start = Instant::now();
     engine.checkpoint_now().expect("rotation snapshot");
     let rotation_s = start.elapsed().as_secs_f64();

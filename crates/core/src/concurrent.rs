@@ -15,7 +15,7 @@
 //! 2. **Per-shard mutexes** (`shard.rs`) — inside the read gate, a batch
 //!    routes users by the stable FNV hash and locks **one shard at a
 //!    time**, so writers touching different shards never contend, and
-//!    the lock order (gate → WAL → one shard) is trivially cycle-free.
+//!    the lock order (gate → log → one shard) is trivially cycle-free.
 //! 3. **The published cell** — an epoch/`Arc`-swap double buffer.
 //!    [`snapshot`](ConcurrentStreamingPipeline::snapshot) clones the
 //!    newest published `Arc` without acquiring the gate: readers never
@@ -35,9 +35,10 @@
 //!   dirty ids in **globally sorted order** — the merge order is fixed,
 //!   not arrival order.
 //! * Everything downstream of the accumulators (profiles, placements,
-//!   zone counts, fits) is a pure function of that state; the shared
-//!   striped placement cache is byte-transparent
-//!   ([`SharedPlacementCache`]).
+//!   zone counts, fits) is a pure function of that state. Placement
+//!   resolves only inside `publish`, under the write gate, through the
+//!   engine's private sequential cache — so even its hit/miss counts
+//!   are a function of the input, not of the schedule.
 //!
 //! Additionally, each writer carries a monotonic **watermark** (batches
 //! fully applied), bumped *inside* its gate hold. A publish captures the
@@ -49,15 +50,21 @@
 //!
 //! # Durable mode
 //!
-//! [`ConcurrentStreamingPipeline::open_durable`] recovers through the
-//! normal [`StreamingPipeline::open_durable_with`] path, then re-homes
-//! the store behind a WAL mutex *inside* the gate. A writer's batch is
-//! appended and fsynced under gate-read + WAL-lock *before* the shard
-//! apply (the same write-ahead contract as the sequential
-//! [`DurableStreamingPipeline`](crate::DurableStreamingPipeline)), and
-//! snapshot rotation runs only under the write gate — so at rotation the
-//! in-memory state equals the logged state exactly, and recovery is
-//! unchanged.
+//! [`ConcurrentStreamingPipeline::open_durable`] recovers snapshot +
+//! log suffix (`durable.rs`), then homes the store behind the log mutex
+//! *inside* the gate. A writer's [`Batch`] is appended and fsynced
+//! under gate-read + log-lock *before* the shard apply, so once
+//! [`IngestWriter::apply`] returns `Ok` the batch survives any crash.
+//! Snapshot rotation runs only under the write gate — at
+//! [`publish`](ConcurrentStreamingPipeline::publish) when the log has
+//! outgrown its threshold, or on
+//! [`checkpoint_now`](ConcurrentStreamingPipeline::checkpoint_now) — so
+//! at rotation the in-memory state equals the logged state exactly.
+//!
+//! A batch's `source_seq` and monitor checkpoint travel in the same log
+//! record as its posts: a monitor killed and resumed from its persisted
+//! checkpoint may re-deliver the boundary batch, and `apply` drops it by
+//! sequence number instead of double-counting posts.
 //!
 //! ```
 //! use crowdtz_core::{ConcurrentStreamingPipeline, GeolocationPipeline};
@@ -70,9 +77,10 @@
 //!     for w in 0..4 {
 //!         let writer = engine.writer();
 //!         scope.spawn(move || {
+//!             let user = format!("u{w}");
 //!             for day in 0..10i64 {
 //!                 let post = Timestamp::from_secs(day * 86_400 + 20 * 3_600);
-//!                 writer.ingest(&format!("u{w}"), &[post]).unwrap();
+//!                 writer.ingest_posts_ref(&[(&user, post)]).unwrap();
 //!             }
 //!         });
 //!     }
@@ -91,8 +99,7 @@ use std::time::Instant;
 use crowdtz_store::{DurableStore, RealVfs, Vfs};
 use crowdtz_time::Timestamp;
 
-use crate::durable::{build_snapshot_parts, encode_plain_batch, encode_retract_batch};
-use crate::engine::SharedPlacementCache;
+use crate::durable::{build_snapshot_parts, encode_batch, recover};
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
 use crate::shard::SharedIngestObs;
@@ -130,7 +137,7 @@ fn write_gate<T>(gate: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// atomic add per metric, not a registry lookup.
 #[derive(Debug)]
 struct ConcurrentObs {
-    /// Shard-level handles threaded into `ShardSet::ingest_batch_shared`.
+    /// Shard-level handles threaded into `ShardSet::apply_batch_shared`.
     shared: SharedIngestObs,
     /// `ingest.gate_contention`: batch-gate acquisitions that blocked
     /// (a publish was running or pending).
@@ -158,13 +165,56 @@ impl ConcurrentObs {
     }
 }
 
-/// The durable half of the engine, serialized behind its own mutex
-/// *inside* the gate: appends from concurrent writers interleave at
-/// batch granularity (each record is one writer's whole batch), exactly
-/// the granularity recovery replays.
-#[derive(Debug)]
-struct Wal {
-    store: DurableStore,
+/// One signed write through [`IngestWriter::apply`]: per-user posts to
+/// absorb, per-user posts to release (applied after the ingests), and
+/// the monitor bookkeeping logged in the same WAL record.
+///
+/// ```
+/// use crowdtz_core::{Batch, ConcurrentStreamingPipeline, GeolocationPipeline};
+/// use crowdtz_time::Timestamp;
+///
+/// let engine = ConcurrentStreamingPipeline::new(GeolocationPipeline::default().min_posts(1));
+/// let writer = engine.writer();
+/// let posts = [Timestamp::from_secs(20 * 3_600), Timestamp::from_secs(86_400 + 20 * 3_600)];
+/// let batch = Batch { ingest: &[("u", &posts)], source_seq: 1, ..Batch::default() };
+/// assert!(writer.apply(&batch).unwrap());
+/// // A re-delivered sequence number is dropped, not double-counted.
+/// assert!(!writer.apply(&batch).unwrap());
+/// assert_eq!(engine.posts_ingested(), 2);
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Batch<'a> {
+    /// `(user, posts)` deltas to absorb.
+    pub ingest: &'a [(&'a str, &'a [Timestamp])],
+    /// `(user, posts)` deltas to release — the signed inverse, applied
+    /// after `ingest`. Releasing a post the engine never absorbed is a
+    /// no-op.
+    pub retract: &'a [(&'a str, &'a [Timestamp])],
+    /// Source (monitor) sequence number; `0` for unsequenced batches.
+    /// A nonzero number at or below the highest one applied makes
+    /// [`IngestWriter::apply`] drop the batch.
+    pub source_seq: u64,
+    /// Opaque monitor checkpoint valid *after* this batch, recorded when
+    /// `source_seq` is nonzero.
+    pub checkpoint: Option<&'a str>,
+}
+
+/// `(user, [post])` deltas over single-post observations.
+fn single_posts<'a>(posts: &'a [(&'a str, Timestamp)]) -> Vec<(&'a str, &'a [Timestamp])> {
+    posts
+        .iter()
+        .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
+        .collect()
+}
+
+/// The write log, serialized behind its own mutex *inside* the gate:
+/// the source-sequence dedup and, in durable mode, WAL appends from
+/// concurrent writers interleave at batch granularity (each record is
+/// one writer's whole batch), exactly the granularity recovery replays.
+#[derive(Debug, Default)]
+struct Log {
+    /// The WAL and snapshot store; `None` for an in-memory engine.
+    store: Option<DurableStore>,
     /// Highest monitor batch sequence applied (0 before any) — carried
     /// through recovery and into rotated snapshot metas.
     source_seq: u64,
@@ -172,13 +222,29 @@ struct Wal {
     checkpoint: Option<String>,
 }
 
+impl Log {
+    /// Writes a snapshot generation of `stream` covering every logged
+    /// record; `None` without a store.
+    fn rotate(&mut self, stream: &StreamingPipeline) -> Result<Option<u64>, CoreError> {
+        let Some(store) = &mut self.store else {
+            return Ok(None);
+        };
+        let parts = build_snapshot_parts(stream, self.source_seq, self.checkpoint.as_deref())?;
+        let last_seq = store.last_seq();
+        Ok(Some(store.write_snapshot(last_seq, &parts)?))
+    }
+}
+
 /// Everything the batch gate guards. Writers reach `stream` through a
-/// shared reference (`ingest_deltas_shared` locks per shard); the
+/// shared reference (`apply_deltas_shared` locks per shard); the
 /// publisher's write guard gives the `&mut` that `snapshot()` needs.
 #[derive(Debug)]
 struct Engine {
     stream: StreamingPipeline,
-    wal: Option<Mutex<Wal>>,
+    log: Mutex<Log>,
+    /// Whether `log` holds a store — fixed at construction, so writers
+    /// of an in-memory engine skip the log lock for unsequenced batches.
+    durable: bool,
 }
 
 /// One published snapshot: the report plus the exact cut it reflects.
@@ -329,22 +395,24 @@ pub struct IngestWriter {
 
 impl ConcurrentStreamingPipeline {
     /// Wraps a configured batch pipeline, exactly as
-    /// [`StreamingPipeline::new`] — plus the shared (lock-striped)
-    /// placement cache the concurrent resolve path uses.
+    /// [`StreamingPipeline::new`].
     pub fn new(pipeline: GeolocationPipeline) -> ConcurrentStreamingPipeline {
-        let cache = Arc::new(SharedPlacementCache::new(
-            pipeline.placement_cache_enabled(),
-        ));
         let obs = pipeline.obs().map(|o| ConcurrentObs::new(&o));
-        let stream = StreamingPipeline::new(pipeline).with_shared_cache(cache);
-        Self::assemble(stream, None, obs)
+        Self::assemble(StreamingPipeline::new(pipeline), Log::default(), obs)
     }
 
     /// Opens (creating if necessary) a **durable** concurrent engine at
-    /// `dir`: recovery runs through the sequential
-    /// [`StreamingPipeline::open_durable`] path (byte-identical resume),
-    /// then the store is re-homed behind the WAL lock. See the module
-    /// docs for the write-ahead contract under concurrency.
+    /// `dir`, recovering any persisted state: the newest valid snapshot
+    /// generation is loaded, the valid log suffix is replayed through
+    /// the normal delta path, and the engine resumes byte-identical to
+    /// one that never crashed. Corrupt snapshot generations are
+    /// quarantined with fallback to the previous one; a torn log tail is
+    /// truncated silently (it is the expected crash signature). See the
+    /// module docs for the write-ahead contract under concurrency.
+    ///
+    /// The caller must pass the same pipeline *configuration* (activity
+    /// threshold, polishing, generic profile) across restarts — the
+    /// store persists accumulated state, not configuration.
     ///
     /// # Errors
     ///
@@ -368,34 +436,27 @@ impl ConcurrentStreamingPipeline {
         vfs: Box<dyn Vfs>,
         dir: impl Into<PathBuf>,
     ) -> Result<ConcurrentStreamingPipeline, CoreError> {
-        let cache = Arc::new(SharedPlacementCache::new(
-            pipeline.placement_cache_enabled(),
-        ));
         let obs = pipeline.obs().map(|o| ConcurrentObs::new(&o));
-        let durable = StreamingPipeline::open_durable_with(pipeline, vfs, dir)?;
-        let (stream, store, source_seq, checkpoint) = durable.into_parts();
-        let stream = stream.with_shared_cache(cache);
-        Ok(Self::assemble(
-            stream,
-            Some(Wal {
-                store,
-                source_seq,
-                checkpoint,
-            }),
-            obs,
-        ))
+        let (stream, store, source_seq, checkpoint) = recover(pipeline, vfs, dir)?;
+        let log = Log {
+            store: Some(store),
+            source_seq,
+            checkpoint,
+        };
+        Ok(Self::assemble(stream, log, obs))
     }
 
     fn assemble(
         stream: StreamingPipeline,
-        wal: Option<Wal>,
+        log: Log,
         obs: Option<ConcurrentObs>,
     ) -> ConcurrentStreamingPipeline {
         ConcurrentStreamingPipeline {
             shared: Arc::new(Shared {
                 gate: RwLock::new(Engine {
                     stream,
-                    wal: wal.map(Mutex::new),
+                    durable: log.store.is_some(),
+                    log: Mutex::new(log),
                 }),
                 cell: PublishedCell::default(),
                 writers: Mutex::new(Vec::new()),
@@ -453,16 +514,15 @@ impl ConcurrentStreamingPipeline {
             .iter()
             .map(|w| w.load(Ordering::Acquire))
             .collect();
-        let Engine { stream, wal } = &mut *guard;
+        let Engine { stream, log, .. } = &mut *guard;
         let report = stream.snapshot_with_coverage(coverage)?;
-        if let Some(wal) = wal {
-            let wal = wal.get_mut().unwrap_or_else(PoisonError::into_inner);
-            if wal.store.should_snapshot() {
-                let parts =
-                    build_snapshot_parts(stream, wal.source_seq, wal.checkpoint.as_deref())?;
-                let last_seq = wal.store.last_seq();
-                wal.store.write_snapshot(last_seq, &parts)?;
-            }
+        let log = log.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if log
+            .store
+            .as_ref()
+            .is_some_and(DurableStore::should_snapshot)
+        {
+            log.rotate(stream)?;
         }
         let posts_ingested = stream.posts_ingested();
         let published = Arc::new(PublishedReport {
@@ -497,14 +557,22 @@ impl ConcurrentStreamingPipeline {
     /// [`CoreError::Store`] when writing the generation fails.
     pub fn checkpoint_now(&self) -> Result<Option<u64>, CoreError> {
         let mut guard = write_gate(&self.shared.gate);
-        let Engine { stream, wal } = &mut *guard;
-        let Some(wal) = wal else {
-            return Ok(None);
-        };
-        let wal = wal.get_mut().unwrap_or_else(PoisonError::into_inner);
-        let parts = build_snapshot_parts(stream, wal.source_seq, wal.checkpoint.as_deref())?;
-        let last_seq = wal.store.last_seq();
-        Ok(Some(wal.store.write_snapshot(last_seq, &parts)?))
+        let Engine { stream, log, .. } = &mut *guard;
+        log.get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .rotate(stream)
+    }
+
+    /// Highest monitor batch sequence applied (0 before any); batches
+    /// at or below it are dropped by [`IngestWriter::apply`].
+    pub fn last_source_seq(&self) -> u64 {
+        relock(&read_gate(&self.shared.gate).log).source_seq
+    }
+
+    /// The monitor checkpoint stored with the newest applied sequenced
+    /// batch.
+    pub fn source_checkpoint(&self) -> Option<String> {
+        relock(&read_gate(&self.shared.gate).log).checkpoint.clone()
     }
 
     /// Number of users ever ingested (brief gate-read).
@@ -527,8 +595,7 @@ impl ConcurrentStreamingPipeline {
         read_gate(&self.shared.gate).stream.shard_count()
     }
 
-    /// Lifetime placement-cache `(hits, misses)` across every resolver
-    /// attached to the shared cache.
+    /// Lifetime placement-cache `(hits, misses)`.
     pub fn cache_stats(&self) -> (u64, u64) {
         read_gate(&self.shared.gate).stream.cache_stats()
     }
@@ -540,148 +607,93 @@ impl ConcurrentStreamingPipeline {
 }
 
 impl IngestWriter {
-    /// Ingests new posts for one user — one batch, one gate hold.
+    /// Applies one signed batch — one gate hold, one WAL record in
+    /// durable mode, one watermark step — and returns whether it was
+    /// applied.
+    ///
+    /// Lock order: gate (read) → log lock (durable or sequenced batches):
+    /// dedup check, WAL append + fsync, source-sequence advance → shards,
+    /// one at a time, ingests before retractions → watermark bump → gate
+    /// release. The watermark moves only after the batch is fully
+    /// applied and only inside the gate hold, which is what makes
+    /// publish-time watermark capture an exact cut.
+    ///
+    /// `Ok(false)` means nothing was logged, applied or watermarked:
+    /// either the batch carries no posts and no `source_seq`, or its
+    /// `source_seq` is at or below the highest one already applied (a
+    /// monitor re-delivering its boundary batch after a restart). The
+    /// dedup check and the advance share the append's lock hold, so of
+    /// two writers racing one `source_seq` exactly one applies it.
     ///
     /// # Errors
     ///
     /// [`CoreError::Store`] in durable mode when the write-ahead append
     /// fails; the in-memory engine is unchanged in that case.
-    pub fn ingest(&self, user: &str, posts: &[Timestamp]) -> Result<(), CoreError> {
-        if posts.is_empty() {
-            return Ok(());
-        }
-        self.ingest_deltas(&[(user, posts)])
-    }
-
-    /// Ingests a batch of single-post observations (the monitor poll
-    /// shape) as one batch — one gate hold, one WAL record in durable
-    /// mode, one watermark step.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest`](Self::ingest).
-    pub fn ingest_posts(&self, posts: &[(String, Timestamp)]) -> Result<(), CoreError> {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)))
-            .collect();
-        self.ingest_deltas(&deltas)
-    }
-
-    /// [`ingest_posts`](Self::ingest_posts) over borrowed user ids — no
-    /// owned `String` per observation.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest`](Self::ingest).
-    pub fn ingest_posts_ref(&self, posts: &[(&str, Timestamp)]) -> Result<(), CoreError> {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
-            .collect();
-        self.ingest_deltas(&deltas)
-    }
-
-    /// Retracts posts for one user — one signed batch, one gate hold,
-    /// under exactly the ingest discipline (WAL append first in durable
-    /// mode, one shard locked at a time, watermark bumped inside the
-    /// hold). Retraction batches count toward the writer's watermark
-    /// like any other batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest`](Self::ingest).
-    pub fn retract(&self, user: &str, posts: &[Timestamp]) -> Result<(), CoreError> {
-        if posts.is_empty() {
-            return Ok(());
-        }
-        self.retract_deltas(&[(user, posts)])
-    }
-
-    /// Retracts a batch of single-post observations as one signed batch.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest`](Self::ingest).
-    pub fn retract_posts(&self, posts: &[(String, Timestamp)]) -> Result<(), CoreError> {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)))
-            .collect();
-        self.retract_deltas(&deltas)
-    }
-
-    /// [`retract_posts`](Self::retract_posts) over borrowed user ids.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest`](Self::ingest).
-    pub fn retract_posts_ref(&self, posts: &[(&str, Timestamp)]) -> Result<(), CoreError> {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
-            .collect();
-        self.retract_deltas(&deltas)
-    }
-
-    /// Ingests a batch of per-user deltas. Empty batches are ignored
-    /// (no gate hold, no watermark step).
-    ///
-    /// Lock order: gate (read) → WAL append + fsync (durable mode) →
-    /// shards, one at a time → watermark bump → gate release. The
-    /// watermark moves only after the batch is fully applied and only
-    /// inside the gate hold, which is what makes publish-time watermark
-    /// capture an exact cut.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest`](Self::ingest).
-    pub fn ingest_deltas(&self, deltas: &[(&str, &[Timestamp])]) -> Result<(), CoreError> {
-        self.apply_deltas(deltas, false)
-    }
-
-    /// Retracts a batch of per-user deltas — the signed twin of
-    /// [`ingest_deltas`](Self::ingest_deltas): same gate/WAL/shard lock
-    /// order, but the record is a retraction and the shards release the
-    /// posts instead of absorbing them.
-    ///
-    /// # Errors
-    ///
-    /// As [`ingest`](Self::ingest).
-    pub fn retract_deltas(&self, deltas: &[(&str, &[Timestamp])]) -> Result<(), CoreError> {
-        self.apply_deltas(deltas, true)
-    }
-
-    fn apply_deltas(
-        &self,
-        deltas: &[(&str, &[Timestamp])],
-        retract: bool,
-    ) -> Result<(), CoreError> {
-        if deltas.iter().all(|(_, posts)| posts.is_empty()) {
-            return Ok(());
+    pub fn apply(&self, batch: &Batch<'_>) -> Result<bool, CoreError> {
+        let has_posts = |deltas: &[(&str, &[Timestamp])]| deltas.iter().any(|(_, p)| !p.is_empty());
+        if batch.source_seq == 0 && !has_posts(batch.ingest) && !has_posts(batch.retract) {
+            return Ok(false);
         }
         let guard = self.shared.enter_batch();
-        if let Some(wal) = &guard.wal {
-            let payload = if retract {
-                encode_retract_batch(deltas)?
-            } else {
-                encode_plain_batch(deltas)?
-            };
-            let mut wal = relock(wal);
-            wal.store.append_delta(&payload)?;
+        // Encoded outside the log lock, so concurrent writers serialize
+        // only on the append itself.
+        let record = if guard.durable {
+            Some(encode_batch(batch)?)
+        } else {
+            None
+        };
+        if record.is_some() || batch.source_seq != 0 {
+            let mut log = relock(&guard.log);
+            if batch.source_seq != 0 && batch.source_seq <= log.source_seq {
+                return Ok(false);
+            }
+            if let (Some(store), Some(record)) = (&mut log.store, &record) {
+                store.append_delta(record)?;
+            }
+            if batch.source_seq != 0 {
+                log.source_seq = batch.source_seq;
+                if let Some(checkpoint) = batch.checkpoint {
+                    log.checkpoint = Some(checkpoint.to_owned());
+                }
+            }
         }
         let obs = self.shared.obs.as_ref().map(|o| &o.shared);
-        if retract {
-            guard.stream.retract_deltas_shared(deltas, obs);
-        } else {
-            guard.stream.ingest_deltas_shared(deltas, obs);
-        }
+        guard.stream.apply_deltas_shared(batch.ingest, false, obs);
+        guard.stream.apply_deltas_shared(batch.retract, true, obs);
         if let Some(obs) = &self.shared.obs {
             obs.batches.inc();
         }
         self.watermark.fetch_add(1, Ordering::Release);
         drop(guard);
-        Ok(())
+        Ok(true)
+    }
+
+    /// Ingests a batch of single-post observations (the monitor poll
+    /// shape) as one [`Batch`].
+    ///
+    /// # Errors
+    ///
+    /// As [`apply`](Self::apply).
+    pub fn ingest_posts_ref(&self, posts: &[(&str, Timestamp)]) -> Result<(), CoreError> {
+        self.apply(&Batch {
+            ingest: &single_posts(posts),
+            ..Batch::default()
+        })
+        .map(drop)
+    }
+
+    /// Retracts a batch of single-post observations as one signed
+    /// [`Batch`].
+    ///
+    /// # Errors
+    ///
+    /// As [`apply`](Self::apply).
+    pub fn retract_posts_ref(&self, posts: &[(&str, Timestamp)]) -> Result<(), CoreError> {
+        self.apply(&Batch {
+            retract: &single_posts(posts),
+            ..Batch::default()
+        })
+        .map(drop)
     }
 
     /// Batches this writer has fully applied — its own watermark.
@@ -711,6 +723,22 @@ mod tests {
         GeolocationPipeline::default().min_posts(1).threads(1)
     }
 
+    fn ingest(writer: &IngestWriter, user: &str, posts: &[Timestamp]) -> bool {
+        let batch = Batch {
+            ingest: &[(user, posts)],
+            ..Batch::default()
+        };
+        writer.apply(&batch).unwrap()
+    }
+
+    fn retract(writer: &IngestWriter, user: &str, posts: &[Timestamp]) -> bool {
+        let batch = Batch {
+            retract: &[(user, posts)],
+            ..Batch::default()
+        };
+        writer.apply(&batch).unwrap()
+    }
+
     fn posts_for(day0: i64, hour: u8, n: usize) -> Vec<Timestamp> {
         (0..n as i64)
             .map(|d| Timestamp::from_secs((day0 + d) * 86_400 + i64::from(hour) * 3_600))
@@ -722,11 +750,11 @@ mod tests {
         let engine = ConcurrentStreamingPipeline::new(pipeline());
         assert!(engine.snapshot().is_none());
         let writer = engine.writer();
-        writer.ingest("a", &posts_for(0, 20, 12)).unwrap();
+        ingest(&writer, "a", &posts_for(0, 20, 12));
         let p1 = engine.publish().unwrap();
         assert_eq!(p1.epoch(), 1);
         assert_eq!(engine.snapshot().unwrap().epoch(), 1);
-        writer.ingest("b", &posts_for(0, 9, 12)).unwrap();
+        ingest(&writer, "b", &posts_for(0, 9, 12));
         let p2 = engine.publish().unwrap();
         assert_eq!(p2.epoch(), 2);
         assert_eq!(engine.snapshot().unwrap().epoch(), 2);
@@ -757,7 +785,7 @@ mod tests {
                 let writer = engine.writer();
                 scope.spawn(move || {
                     for (user, posts) in chunk {
-                        writer.ingest(user, posts).unwrap();
+                        ingest(&writer, user, posts);
                     }
                 });
             }
@@ -772,9 +800,9 @@ mod tests {
         let engine = ConcurrentStreamingPipeline::new(pipeline());
         let w0 = engine.writer();
         let w1 = engine.writer();
-        w0.ingest("a", &posts_for(0, 20, 10)).unwrap();
-        w0.ingest("b", &posts_for(0, 21, 10)).unwrap();
-        w1.ingest("c", &posts_for(0, 3, 10)).unwrap();
+        ingest(&w0, "a", &posts_for(0, 20, 10));
+        ingest(&w0, "b", &posts_for(0, 21, 10));
+        ingest(&w1, "c", &posts_for(0, 3, 10));
         let published = engine.publish().unwrap();
         assert_eq!(published.watermarks(), &[2, 1]);
         assert_eq!(w0.batches_applied(), 2);
@@ -789,11 +817,11 @@ mod tests {
     fn dropped_writers_keep_their_watermark_index() {
         let engine = ConcurrentStreamingPipeline::new(pipeline());
         let w0 = engine.writer();
-        w0.ingest("a", &posts_for(0, 20, 10)).unwrap();
+        ingest(&w0, "a", &posts_for(0, 20, 10));
         drop(w0);
         assert_eq!(engine.active_writers(), 0);
         let w1 = engine.writer();
-        w1.ingest("b", &posts_for(0, 9, 10)).unwrap();
+        ingest(&w1, "b", &posts_for(0, 9, 10));
         let published = engine.publish().unwrap();
         // Index 0 is the dropped writer, index 1 the live one.
         assert_eq!(published.watermarks(), &[1, 1]);
@@ -803,9 +831,9 @@ mod tests {
     fn empty_batches_hold_nothing_and_move_nothing() {
         let engine = ConcurrentStreamingPipeline::new(pipeline());
         let writer = engine.writer();
-        writer.ingest("ghost", &[]).unwrap();
-        writer.ingest_posts(&[]).unwrap();
-        writer.ingest_deltas(&[("ghost", &[])]).unwrap();
+        assert!(!ingest(&writer, "ghost", &[]));
+        writer.ingest_posts_ref(&[]).unwrap();
+        assert!(!writer.apply(&Batch::default()).unwrap());
         assert_eq!(writer.batches_applied(), 0);
         assert_eq!(engine.users_tracked(), 0);
         assert!(matches!(engine.publish(), Err(CoreError::EmptyCrowd)));
@@ -814,10 +842,7 @@ mod tests {
     #[test]
     fn readers_see_published_reports_while_writers_ingest() {
         let engine = ConcurrentStreamingPipeline::new(pipeline());
-        engine
-            .writer()
-            .ingest("seed", &posts_for(0, 20, 10))
-            .unwrap();
+        ingest(&engine.writer(), "seed", &posts_for(0, 20, 10));
         let first = engine.publish().unwrap();
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -826,9 +851,7 @@ mod tests {
             scope.spawn(move || {
                 for i in 0..40 {
                     let writer = engine_ref.writer();
-                    writer
-                        .ingest(&format!("w{i}"), &posts_for(i, (i % 24) as u8, 6))
-                        .unwrap();
+                    ingest(&writer, &format!("w{i}"), &posts_for(i, (i % 24) as u8, 6));
                     if i % 8 == 7 {
                         engine_ref.publish().unwrap();
                     }
@@ -862,14 +885,14 @@ mod tests {
         let engine = ConcurrentStreamingPipeline::new(pipeline());
         let seed = engine.writer();
         for (user, posts) in &traces {
-            seed.ingest(user, posts).unwrap();
+            ingest(&seed, user, posts);
         }
         std::thread::scope(|scope| {
             for chunk in traces.chunks(6) {
                 let writer = engine.writer();
                 scope.spawn(move || {
                     for (user, posts) in chunk {
-                        writer.retract(user, &posts[5..]).unwrap();
+                        retract(&writer, user, &posts[5..]);
                     }
                 });
             }
@@ -888,7 +911,7 @@ mod tests {
     #[test]
     fn publish_with_invalid_coverage_is_rejected() {
         let engine = ConcurrentStreamingPipeline::new(pipeline());
-        engine.writer().ingest("a", &posts_for(0, 20, 10)).unwrap();
+        ingest(&engine.writer(), "a", &posts_for(0, 20, 10));
         for bad in [0.0, -1.0, 1.5, f64::NAN] {
             assert!(matches!(
                 engine.publish_with_coverage(bad),

@@ -1,42 +1,43 @@
 //! Durable streaming analysis — crash-safe persistence of the shard
 //! accumulators via `crowdtz-store`.
 //!
-//! [`StreamingPipeline::open_durable`] wraps the streaming engine in a
-//! [`DurableStreamingPipeline`] backed by a store directory holding
-//! per-shard **snapshots** plus an append-only, CRC-framed **delta
-//! log** (one record per ingest batch). Every ingest is write-ahead:
-//! the batch is appended and fsynced *before* it is applied in memory,
-//! so once an ingest returns `Ok` the posts survive any crash.
-//! Reopening the directory recovers *snapshot + valid log suffix* and
-//! resumes **byte-identical** to an engine that never crashed:
+//! A durable [`ConcurrentStreamingPipeline`](crate::ConcurrentStreamingPipeline)
+//! keeps a store directory holding per-shard **snapshots** plus an
+//! append-only, CRC-framed **delta log** (one record per
+//! [`Batch`]). Every batch is write-ahead: it is appended and fsynced
+//! *before* it is applied in memory, so once
+//! [`IngestWriter::apply`](crate::IngestWriter::apply) returns `Ok` the
+//! posts survive any crash. [`recover`] loads *snapshot + valid log
+//! suffix* and the engine resumes **byte-identical** to one that never
+//! crashed:
 //!
 //! * Everything the snapshot persists per user is integral — slot keys,
 //!   post counts, the flatness flag, the zone, and the EMD as raw
 //!   `f64::to_bits` — and everything derived (distributions, profiles,
 //!   kept vectors, zone counts) is recomputed by the same pure
 //!   functions the live engine uses, in the same global user-id order.
-//! * Log records replay through the same ingest path as live batches.
+//! * Log records replay through the same delta path as live batches.
 //! * The store assigns sequence numbers; a snapshot covers a prefix,
 //!   recovery replays only the suffix — warm-restart cost scales with
 //!   the log length, not the crawl length.
 //!
-//! The monitor-facing [`DurableStreamingPipeline::ingest_batch`] stores
-//! a *source* sequence number and an opaque checkpoint blob inside the
-//! same log record as the batch, transactionally: a monitor that is
-//! killed and resumed from its persisted checkpoint may re-deliver the
-//! boundary batch, and the engine drops it by sequence number instead
-//! of double-counting posts.
+//! A batch's *source* sequence number and opaque monitor checkpoint
+//! ride in the same log record as its posts, transactionally: a monitor
+//! that is killed and resumed from its persisted checkpoint may
+//! re-deliver the boundary batch, and the engine drops it by sequence
+//! number instead of double-counting posts.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use crowdtz_stats::{Histogram24, BINS};
-use crowdtz_store::{DurableStore, RealVfs, StoreError, Vfs};
+use crowdtz_store::{DurableStore, StoreError, Vfs};
 use crowdtz_time::Timestamp;
 use serde::{Deserialize, Serialize};
 
+use crate::concurrent::Batch;
 use crate::error::CoreError;
-use crate::pipeline::{GeolocationPipeline, GeolocationReport};
+use crate::pipeline::GeolocationPipeline;
 use crate::placement::UserPlacement;
 use crate::profile::ActivityProfile;
 use crate::shard::{UserAccumulator, UserAnalysis};
@@ -57,8 +58,8 @@ use crate::streaming::StreamingPipeline;
 /// needed.
 #[derive(Debug)]
 struct LogBatch {
-    /// Source (monitor) batch sequence number; `0` for batches that
-    /// did not come through [`DurableStreamingPipeline::ingest_batch`].
+    /// Source (monitor) batch sequence number; `0` for unsequenced
+    /// batches.
     source_seq: u64,
     /// Opaque monitor checkpoint valid *after* this batch.
     checkpoint: Option<String>,
@@ -217,130 +218,89 @@ fn decode_json<T: serde::Deserialize>(what: &str, bytes: &[u8]) -> Result<T, Cor
     serde_json::from_str(text).map_err(|e| codec_err(what, e))
 }
 
-impl StreamingPipeline {
-    /// Opens (creating if necessary) a durable streaming engine at
-    /// `dir`, recovering any persisted state: the newest valid snapshot
-    /// generation is loaded, the valid log suffix is replayed through
-    /// the normal ingest path, and the engine resumes byte-identical to
-    /// one that never crashed. Corrupt snapshot generations are
-    /// quarantined with fallback to the previous one; a torn log tail
-    /// is truncated silently (it is the expected crash signature, not
-    /// an error).
-    ///
-    /// The caller must pass the same pipeline *configuration* (activity
-    /// threshold, polishing, generic profile) across restarts — the
-    /// store persists accumulated state, not configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Store`] when the directory is unusable or a
-    /// CRC-valid snapshot fails structural decoding.
-    pub fn open_durable(
-        pipeline: GeolocationPipeline,
-        dir: impl Into<PathBuf>,
-    ) -> Result<DurableStreamingPipeline, CoreError> {
-        Self::open_durable_with(pipeline, Box::new(RealVfs::new()), dir)
-    }
-
-    /// [`StreamingPipeline::open_durable`] with an explicit VFS —
-    /// the hook fault-injection tests use to run the whole engine over
-    /// a `crowdtz_store::FaultStore`.
-    pub fn open_durable_with(
-        pipeline: GeolocationPipeline,
-        vfs: Box<dyn Vfs>,
-        dir: impl Into<PathBuf>,
-    ) -> Result<DurableStreamingPipeline, CoreError> {
-        let obs = pipeline.obs();
-        let (store, recovered) = DurableStore::open_with(vfs, dir, obs)?;
-        let mut inner = StreamingPipeline::new(pipeline);
-        let mut source_seq = 0u64;
-        let mut checkpoint = None;
-        if let Some(snap) = &recovered.snapshot {
-            let (meta_part, shard_parts) = snap.parts.split_last().ok_or_else(|| {
-                CoreError::Store(StoreError::Corrupt {
-                    path: String::new(),
-                    reason: "snapshot has no parts".into(),
-                })
-            })?;
-            let meta: MetaSnap = decode_json("snapshot meta", meta_part)?;
-            source_seq = meta.source_seq;
-            checkpoint = meta.checkpoint;
-            for part in shard_parts {
-                let shard: ShardSnap = decode_json("shard snapshot", part)?;
-                let dirty: BTreeSet<String> = shard.dirty.into_iter().collect();
-                for user in shard.users {
-                    let was_dirty = dirty.contains(&user.id);
-                    let acc = rebuild_accumulator(&user)?;
-                    inner.shards_mut_ref().restore_user(user.id, acc, was_dirty);
-                }
-            }
-            inner.rebuild_derived_state();
-        }
-        for (_, payload) in &recovered.deltas {
-            let batch: LogBatch = decode_json("log record", payload)?;
-            apply_batch(&mut inner, &batch);
-            if batch.source_seq != 0 {
-                source_seq = source_seq.max(batch.source_seq);
-                if batch.checkpoint.is_some() {
-                    checkpoint = batch.checkpoint;
-                }
+/// Opens (creating if necessary) the store at `dir` and recovers its
+/// state: the newest valid snapshot generation is loaded, then the
+/// valid log suffix is replayed through the normal delta path. Returns
+/// the recovered engine, the store, and the highest source sequence
+/// number with its checkpoint. Corrupt snapshot generations are
+/// quarantined with fallback to the previous one; a torn log tail is
+/// truncated silently (it is the expected crash signature, not an
+/// error).
+///
+/// # Errors
+///
+/// [`CoreError::Store`] when the directory is unusable or a CRC-valid
+/// snapshot fails structural decoding.
+pub(crate) fn recover(
+    pipeline: GeolocationPipeline,
+    vfs: Box<dyn Vfs>,
+    dir: impl Into<PathBuf>,
+) -> Result<(StreamingPipeline, DurableStore, u64, Option<String>), CoreError> {
+    let obs = pipeline.obs();
+    let (store, recovered) = DurableStore::open_with(vfs, dir, obs)?;
+    let mut inner = StreamingPipeline::new(pipeline);
+    let mut source_seq = 0u64;
+    let mut checkpoint = None;
+    if let Some(snap) = &recovered.snapshot {
+        let (meta_part, shard_parts) = snap.parts.split_last().ok_or_else(|| {
+            CoreError::Store(StoreError::Corrupt {
+                path: String::new(),
+                reason: "snapshot has no parts".into(),
+            })
+        })?;
+        let meta: MetaSnap = decode_json("snapshot meta", meta_part)?;
+        source_seq = meta.source_seq;
+        checkpoint = meta.checkpoint;
+        for part in shard_parts {
+            let shard: ShardSnap = decode_json("shard snapshot", part)?;
+            let dirty: BTreeSet<String> = shard.dirty.into_iter().collect();
+            for user in shard.users {
+                let was_dirty = dirty.contains(&user.id);
+                let acc = rebuild_accumulator(&user)?;
+                inner.shards_mut_ref().restore_user(user.id, acc, was_dirty);
             }
         }
-        Ok(DurableStreamingPipeline {
-            inner,
-            store,
-            source_seq,
-            checkpoint,
-        })
+        inner.rebuild_derived_state();
     }
+    for (_, payload) in &recovered.deltas {
+        let batch: LogBatch = decode_json("log record", payload)?;
+        apply_batch(&mut inner, &batch);
+        if batch.source_seq != 0 {
+            source_seq = source_seq.max(batch.source_seq);
+            if batch.checkpoint.is_some() {
+                checkpoint = batch.checkpoint;
+            }
+        }
+    }
+    Ok((inner, store, source_seq, checkpoint))
 }
 
-/// Encodes a plain (source-less) ingest batch as one WAL record — the
-/// concurrent engine's writer path (`concurrent.rs`) appends these under
-/// its WAL lock before applying the deltas in memory, so the write-ahead
-/// contract is the same one [`DurableStreamingPipeline::ingest`] keeps.
-/// Recovery replays the record through [`apply_batch`] unchanged.
-pub(crate) fn encode_plain_batch(deltas: &[(&str, &[Timestamp])]) -> Result<Vec<u8>, CoreError> {
-    let batch = LogBatch {
-        source_seq: 0,
-        checkpoint: None,
-        deltas: owned_deltas(deltas),
-        retractions: Vec::new(),
+/// Encodes one [`Batch`] as its WAL record. Recovery replays the record
+/// through [`apply_batch`] unchanged.
+pub(crate) fn encode_batch(batch: &Batch<'_>) -> Result<Vec<u8>, CoreError> {
+    let owned = |deltas: &[(&str, &[Timestamp])]| -> Vec<(String, Vec<i64>)> {
+        deltas
+            .iter()
+            .map(|(user, posts)| {
+                (
+                    (*user).to_owned(),
+                    posts.iter().map(|t| t.as_secs()).collect(),
+                )
+            })
+            .collect()
     };
-    encode_json("log record", &batch)
-}
-
-/// Encodes a retraction batch as one WAL record — the signed counterpart
-/// of [`encode_plain_batch`]. Recovery replays it after any ingests in
-/// the same record, so a recovered windowed engine lands on exactly the
-/// state the uninterrupted run held.
-pub(crate) fn encode_retract_batch(deltas: &[(&str, &[Timestamp])]) -> Result<Vec<u8>, CoreError> {
-    let batch = LogBatch {
-        source_seq: 0,
-        checkpoint: None,
-        deltas: Vec::new(),
-        retractions: owned_deltas(deltas),
+    let record = LogBatch {
+        source_seq: batch.source_seq,
+        checkpoint: batch.checkpoint.map(str::to_owned),
+        deltas: owned(batch.ingest),
+        retractions: owned(batch.retract),
     };
-    encode_json("log record", &batch)
-}
-
-fn owned_deltas(deltas: &[(&str, &[Timestamp])]) -> Vec<(String, Vec<i64>)> {
-    deltas
-        .iter()
-        .map(|(user, posts)| {
-            (
-                (*user).to_owned(),
-                posts.iter().map(|t| t.as_secs()).collect(),
-            )
-        })
-        .collect()
+    encode_json("log record", &record)
 }
 
 /// Builds the full snapshot part set — one [`ShardSnap`] per shard in
 /// shard-index order, then the [`MetaSnap`] — for the engine's current
-/// in-memory state. Shared by [`DurableStreamingPipeline::checkpoint_now`]
-/// and the concurrent engine's publish-time rotation (`concurrent.rs`),
-/// so both persist byte-identical generations for identical state.
+/// in-memory state: what every snapshot rotation persists.
 pub(crate) fn build_snapshot_parts(
     stream: &StreamingPipeline,
     source_seq: u64,
@@ -380,8 +340,7 @@ pub(crate) fn build_snapshot_parts(
 }
 
 /// Replays one logged batch through the normal delta-update path —
-/// ingests first, then retractions, matching the live order (a record
-/// never carries both today, but the order makes mixed records safe).
+/// ingests first, then retractions, matching the live order.
 fn apply_batch(inner: &mut StreamingPipeline, batch: &LogBatch) {
     for (user, secs) in &batch.deltas {
         let posts: Vec<Timestamp> = secs.iter().map(|&s| Timestamp::from_secs(s)).collect();
@@ -451,214 +410,6 @@ fn rebuild_accumulator(user: &UserSnap) -> Result<UserAccumulator, CoreError> {
         posts: user.posts as usize,
         analysis,
     })
-}
-
-/// A [`StreamingPipeline`] whose every ingest is logged write-ahead to
-/// a [`DurableStore`], with periodic snapshot rotation. See the module
-/// docs for the recovery guarantees.
-#[derive(Debug)]
-pub struct DurableStreamingPipeline {
-    inner: StreamingPipeline,
-    store: DurableStore,
-    /// Highest monitor batch sequence applied (0 before any).
-    source_seq: u64,
-    /// Monitor checkpoint blob valid as of the current state.
-    checkpoint: Option<String>,
-}
-
-impl DurableStreamingPipeline {
-    /// Ingests new posts for one user: logged, fsynced, then applied.
-    /// Once this returns `Ok`, the delta survives any crash.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Store`] when the append (or a triggered snapshot
-    /// rotation) fails; the in-memory engine is unchanged in that case.
-    pub fn ingest(&mut self, user: &str, posts: &[Timestamp]) -> Result<(), CoreError> {
-        if posts.is_empty() {
-            return Ok(());
-        }
-        let batch = LogBatch {
-            source_seq: 0,
-            checkpoint: None,
-            deltas: vec![(user.to_owned(), posts.iter().map(|t| t.as_secs()).collect())],
-            retractions: Vec::new(),
-        };
-        self.log_and_apply(batch)?;
-        Ok(())
-    }
-
-    /// Retracts posts for one user: logged as a signed record, fsynced,
-    /// then released in memory — the same write-ahead contract as
-    /// [`ingest`](Self::ingest), so a recovered engine lands on the
-    /// retracted state byte-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Store`] when the append fails; the in-memory engine
-    /// is unchanged in that case.
-    pub fn retract(&mut self, user: &str, posts: &[Timestamp]) -> Result<(), CoreError> {
-        if posts.is_empty() {
-            return Ok(());
-        }
-        let batch = LogBatch {
-            source_seq: 0,
-            checkpoint: None,
-            deltas: Vec::new(),
-            retractions: vec![(user.to_owned(), posts.iter().map(|t| t.as_secs()).collect())],
-        };
-        self.log_and_apply(batch)?;
-        Ok(())
-    }
-
-    /// Ingests a batch of single-post observations (the monitor poll
-    /// shape), logged as one record.
-    pub fn ingest_posts(&mut self, posts: &[(String, Timestamp)]) -> Result<(), CoreError> {
-        if posts.is_empty() {
-            return Ok(());
-        }
-        let batch = LogBatch {
-            source_seq: 0,
-            checkpoint: None,
-            deltas: posts
-                .iter()
-                .map(|(user, ts)| (user.clone(), vec![ts.as_secs()]))
-                .collect(),
-            retractions: Vec::new(),
-        };
-        self.log_and_apply(batch)?;
-        Ok(())
-    }
-
-    /// Retracts a batch of single-post observations, logged as one
-    /// signed record — the inverse of [`ingest_posts`](Self::ingest_posts).
-    pub fn retract_posts(&mut self, posts: &[(String, Timestamp)]) -> Result<(), CoreError> {
-        if posts.is_empty() {
-            return Ok(());
-        }
-        let batch = LogBatch {
-            source_seq: 0,
-            checkpoint: None,
-            deltas: Vec::new(),
-            retractions: posts
-                .iter()
-                .map(|(user, ts)| (user.clone(), vec![ts.as_secs()]))
-                .collect(),
-        };
-        self.log_and_apply(batch)?;
-        Ok(())
-    }
-
-    /// Ingests one monitor batch with its sequence number and the
-    /// checkpoint that becomes valid once the batch is applied, stored
-    /// transactionally in the same log record. Batches whose
-    /// `source_seq` is not beyond the highest already applied are
-    /// dropped (`Ok(false)`) — the warm-restart dedup that keeps a
-    /// re-delivered boundary batch from double-counting posts.
-    ///
-    /// `source_seq` must be ≥ 1; sequence numbers are expected to be
-    /// assigned densely by the monitor.
-    pub fn ingest_batch(
-        &mut self,
-        source_seq: u64,
-        posts: &[(String, Timestamp)],
-        checkpoint: Option<&str>,
-    ) -> Result<bool, CoreError> {
-        if source_seq <= self.source_seq {
-            return Ok(false);
-        }
-        let batch = LogBatch {
-            source_seq,
-            checkpoint: checkpoint.map(str::to_owned),
-            deltas: posts
-                .iter()
-                .map(|(user, ts)| (user.clone(), vec![ts.as_secs()]))
-                .collect(),
-            retractions: Vec::new(),
-        };
-        self.log_and_apply(batch)?;
-        Ok(true)
-    }
-
-    /// Append the record, apply it in memory, rotate the snapshot if
-    /// the log has outgrown its threshold.
-    fn log_and_apply(&mut self, batch: LogBatch) -> Result<(), CoreError> {
-        let payload = encode_json("log record", &batch)?;
-        self.store.append_delta(&payload)?;
-        apply_batch(&mut self.inner, &batch);
-        if batch.source_seq != 0 {
-            self.source_seq = batch.source_seq;
-            if batch.checkpoint.is_some() {
-                self.checkpoint = batch.checkpoint;
-            }
-        }
-        if self.store.should_snapshot() {
-            self.checkpoint_now()?;
-        }
-        Ok(())
-    }
-
-    /// Writes a snapshot generation covering everything ingested so
-    /// far, rotating out the oldest retained generation and compacting
-    /// the log. Called automatically when the log outgrows the
-    /// threshold; callers can also invoke it explicitly (e.g. before a
-    /// planned shutdown). Returns the generation number.
-    pub fn checkpoint_now(&mut self) -> Result<u64, CoreError> {
-        let parts = build_snapshot_parts(&self.inner, self.source_seq, self.checkpoint.as_deref())?;
-        let last_seq = self.store.last_seq();
-        Ok(self.store.write_snapshot(last_seq, &parts)?)
-    }
-
-    /// Produces the current report — see
-    /// [`StreamingPipeline::snapshot`]. Pure analysis; nothing is
-    /// persisted (the report is derivable, and recovery recomputes it).
-    pub fn snapshot(&mut self) -> Result<GeolocationReport, CoreError> {
-        self.inner.snapshot()
-    }
-
-    /// [`StreamingPipeline::snapshot_with_coverage`] passthrough.
-    pub fn snapshot_with_coverage(
-        &mut self,
-        coverage: f64,
-    ) -> Result<GeolocationReport, CoreError> {
-        self.inner.snapshot_with_coverage(coverage)
-    }
-
-    /// The wrapped streaming engine (read-only: mutating it directly
-    /// would bypass the write-ahead log).
-    pub fn stream(&self) -> &StreamingPipeline {
-        &self.inner
-    }
-
-    /// The underlying store (log length, last sequence, directory).
-    pub fn store(&self) -> &DurableStore {
-        &self.store
-    }
-
-    /// Highest monitor batch sequence applied; batches at or below it
-    /// are dropped by [`DurableStreamingPipeline::ingest_batch`].
-    pub fn last_source_seq(&self) -> u64 {
-        self.source_seq
-    }
-
-    /// The monitor checkpoint stored with the newest applied batch.
-    pub fn source_checkpoint(&self) -> Option<&str> {
-        self.checkpoint.as_deref()
-    }
-
-    /// Sets the log-size threshold (bytes) that triggers automatic
-    /// snapshot rotation mid-ingest.
-    pub fn snapshot_every_bytes(&mut self, bytes: u64) {
-        self.store.set_compact_threshold(bytes);
-    }
-
-    /// Splits the durable engine into its pieces. The concurrent engine
-    /// (`concurrent.rs`) recovers through the normal
-    /// [`StreamingPipeline::open_durable_with`] path and then re-homes
-    /// the stream and the store behind its own locks.
-    pub(crate) fn into_parts(self) -> (StreamingPipeline, DurableStore, u64, Option<String>) {
-        (self.inner, self.store, self.source_seq, self.checkpoint)
-    }
 }
 
 #[cfg(test)]
@@ -749,6 +500,35 @@ mod tests {
             let back: LogBatch = decode_json("fixture", &pinned).unwrap();
             assert_eq!(back.deltas, batch.deltas);
             assert_eq!(back.retractions, batch.retractions);
+            // The live write path encodes a `Batch` to the same bytes.
+            fn timestamps(deltas: &[(String, Vec<i64>)]) -> Vec<(&str, Vec<Timestamp>)> {
+                deltas
+                    .iter()
+                    .map(|(u, secs)| {
+                        (
+                            u.as_str(),
+                            secs.iter().map(|&s| Timestamp::from_secs(s)).collect(),
+                        )
+                    })
+                    .collect()
+            }
+            fn borrow<'a>(
+                deltas: &'a [(&'a str, Vec<Timestamp>)],
+            ) -> Vec<(&'a str, &'a [Timestamp])> {
+                deltas.iter().map(|(u, p)| (*u, p.as_slice())).collect()
+            }
+            let (ingest, retract) = (timestamps(&batch.deltas), timestamps(&batch.retractions));
+            let live = Batch {
+                ingest: &borrow(&ingest),
+                retract: &borrow(&retract),
+                source_seq: batch.source_seq,
+                checkpoint: batch.checkpoint.as_deref(),
+            };
+            assert_eq!(
+                encode_batch(&live).unwrap(),
+                pinned,
+                "{file}: Batch encoding drifted"
+            );
         }
     }
 }

@@ -33,6 +33,13 @@
 //!     snapshots are byte-identical to [`GeolocationPipeline::analyze`]
 //!     by construction — at every shard count, thread count, and with
 //!     the cache on or off.
+//! 11. **Serving and durability**: [`ConcurrentStreamingPipeline`] —
+//!     many [`IngestWriter`]s apply signed [`Batch`]es (ingests plus
+//!     retractions) to one engine while readers take published reports
+//!     wait-free. Opened durable, every batch is appended and fsynced to
+//!     a write-ahead log before it is applied, a monitor's sequence
+//!     number and checkpoint travel in the same record, and a restart
+//!     resumes byte-identical to an engine that never stopped.
 //!
 //! # Quickstart
 //!
@@ -75,12 +82,11 @@ mod streaming;
 mod tenant;
 mod window;
 
-pub use concurrent::{ConcurrentStreamingPipeline, IngestWriter, PublishedReport};
+pub use concurrent::{Batch, ConcurrentStreamingPipeline, IngestWriter, PublishedReport};
 pub use confidence::{
     bootstrap_components, bootstrap_components_threads, BootstrapConfig, ComponentConfidence,
 };
 pub use crowd::CrowdProfile;
-pub use durable::DurableStreamingPipeline;
 pub use engine::{clamped_threads, default_threads, PlacementEngine};
 pub use error::CoreError;
 pub use generic::GenericProfile;

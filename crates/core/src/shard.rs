@@ -10,10 +10,10 @@
 //! concurrently** — each worker owns whole shards, no locks, no shared
 //! mutable state.
 //!
-//! Since ISSUE 8 each shard additionally sits behind its own mutex, so a
+//! Each shard additionally sits behind its own mutex, so a
 //! [`ConcurrentStreamingPipeline`](crate::ConcurrentStreamingPipeline)
 //! can drive the same shards from **many writer threads at once**
-//! ([`ShardSet::ingest_batch_shared`]): writers route by the same FNV
+//! ([`ShardSet::apply_batch_shared`]): writers route by the same FNV
 //! hash and lock one shard at a time, so two writers touching different
 //! shards never contend. The single-owner `&mut` paths are unchanged in
 //! cost — they reach through the mutexes with
@@ -398,20 +398,15 @@ impl ShardSet {
     /// Routes a batch of deltas to their shards (in arrival order), then
     /// applies the shards concurrently on up to `threads` workers — each
     /// worker owns a contiguous run of whole shards, so no two threads
-    /// ever touch the same accumulator. Single-owner access: workers
+    /// ever touch the same accumulator. Each delta is absorbed, or
+    /// released when `retract` is set. Single-owner access: workers
     /// split the mutexes mutably instead of locking them.
-    pub(crate) fn ingest_batch(&mut self, deltas: &[(&str, &[Timestamp])], threads: usize) {
-        self.apply_batch(deltas, false, threads);
-    }
-
-    /// [`ingest_batch`](Self::ingest_batch) with the sign flipped: the
-    /// same routing, partitioning, and worker layout, but each delta is
-    /// released from its accumulator instead of absorbed.
-    pub(crate) fn retract_batch(&mut self, deltas: &[(&str, &[Timestamp])], threads: usize) {
-        self.apply_batch(deltas, true, threads);
-    }
-
-    fn apply_batch(&mut self, deltas: &[(&str, &[Timestamp])], retract: bool, threads: usize) {
+    pub(crate) fn apply_batch(
+        &mut self,
+        deltas: &[(&str, &[Timestamp])],
+        retract: bool,
+        threads: usize,
+    ) {
         let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, (user, _)) in deltas.iter().enumerate() {
             routed[self.shard_of(user)].push(i);
@@ -445,38 +440,20 @@ impl ShardSet {
         .expect("thread scope failed");
     }
 
-    /// Multi-writer batch ingest: routes the batch per shard, then locks
-    /// each touched shard **once**, applies its deltas in arrival order,
-    /// and releases before moving to the next — at most one shard lock is
-    /// held at a time, so writer/writer deadlock is impossible and two
-    /// writers whose batches route to disjoint shards never contend.
+    /// Multi-writer signed batch apply: routes the batch per shard, then
+    /// locks each touched shard **once**, applies its deltas in arrival
+    /// order, and releases before moving to the next — at most one shard
+    /// lock is held at a time, so writer/writer deadlock is impossible
+    /// and two writers whose batches route to disjoint shards never
+    /// contend. Retraction only commutes with ingestion of the *same*
+    /// posts when it runs after them (releasing an unseen post is a
+    /// skip, not a debt), so callers sequence a post's retraction after
+    /// the batch that ingested it; see `window.rs`.
     ///
     /// Contended acquisitions are counted and their wait timed into the
     /// `ingest.*` metrics when `obs` is attached; the uncontended fast
     /// path costs one `try_lock`.
-    pub(crate) fn ingest_batch_shared(
-        &self,
-        deltas: &[(&str, &[Timestamp])],
-        obs: Option<&SharedIngestObs>,
-    ) {
-        self.apply_batch_shared(deltas, false, obs);
-    }
-
-    /// [`ingest_batch_shared`](Self::ingest_batch_shared) with the sign
-    /// flipped — multi-writer retraction under the same lock-one-shard-
-    /// at-a-time discipline. Retraction only commutes with ingestion of
-    /// the *same* posts when it runs after them (releasing an unseen post
-    /// is a skip, not a debt), so callers sequence a post's retraction
-    /// after the batch that ingested it; see `window.rs`.
-    pub(crate) fn retract_batch_shared(
-        &self,
-        deltas: &[(&str, &[Timestamp])],
-        obs: Option<&SharedIngestObs>,
-    ) {
-        self.apply_batch_shared(deltas, true, obs);
-    }
-
-    fn apply_batch_shared(
+    pub(crate) fn apply_batch_shared(
         &self,
         deltas: &[(&str, &[Timestamp])],
         retract: bool,
@@ -650,7 +627,7 @@ mod tests {
         }
         for threads in [1usize, 2, 8] {
             let mut batched = ShardSet::new(4);
-            batched.ingest_batch(&borrowed, threads);
+            batched.apply_batch(&borrowed, false, threads);
             assert_eq!(batched.users_tracked(), serial.users_tracked());
             assert_eq!(batched.posts_ingested(), serial.posts_ingested());
             assert_eq!(batched.take_dirty_sorted(), {
@@ -682,9 +659,9 @@ mod tests {
             .map(|(u, p)| (u.as_str(), p.as_slice()))
             .collect();
         let mut owned = ShardSet::new(4);
-        owned.ingest_batch(&borrowed, 1);
+        owned.apply_batch(&borrowed, false, 1);
         let shared = ShardSet::new(4);
-        shared.ingest_batch_shared(&borrowed, None);
+        shared.apply_batch_shared(&borrowed, false, None);
         let mut shared = shared;
         assert_eq!(shared.users_tracked(), owned.users_tracked());
         assert_eq!(shared.posts_ingested(), owned.posts_ingested());
@@ -710,7 +687,7 @@ mod tests {
                 scope.spawn(move || {
                     for (u, p) in chunk {
                         let one = [(u.as_str(), p.as_slice())];
-                        shared.ingest_batch_shared(&one, None);
+                        shared.apply_batch_shared(&one, false, None);
                     }
                 });
             }
@@ -876,7 +853,7 @@ mod tests {
     }
 
     #[test]
-    fn retract_batch_shared_matches_owned_retract_batch() {
+    fn signed_shared_apply_matches_owned_apply() {
         let posts: Vec<(String, Vec<Timestamp>)> = (0..40)
             .map(|i| (format!("r{:02}", i % 11), vec![ts(i), ts(i + 2)]))
             .collect();
@@ -885,11 +862,11 @@ mod tests {
             v.iter().map(|(u, p)| (u.as_str(), p.as_slice())).collect()
         }
         let mut owned = ShardSet::new(4);
-        owned.ingest_batch(&as_refs(&posts), 2);
-        owned.retract_batch(&as_refs(&dropped), 2);
+        owned.apply_batch(&as_refs(&posts), false, 2);
+        owned.apply_batch(&as_refs(&dropped), true, 2);
         let shared = ShardSet::new(4);
-        shared.ingest_batch_shared(&as_refs(&posts), None);
-        shared.retract_batch_shared(&as_refs(&dropped), None);
+        shared.apply_batch_shared(&as_refs(&posts), false, None);
+        shared.apply_batch_shared(&as_refs(&dropped), true, None);
         let mut shared = shared;
         assert_eq!(shared.posts_ingested(), owned.posts_ingested());
         assert_eq!(shared.shard_seqs(), owned.shard_seqs());

@@ -13,9 +13,8 @@
 //!   never re-scans history;
 //! * accumulators live in a [`ShardSet`] — N shards keyed by a stable
 //!   hash of the user id, each with its own dirty set — so bulk deltas
-//!   ([`ingest_set`](StreamingPipeline::ingest_set),
-//!   [`ingest_posts`](StreamingPipeline::ingest_posts)) are routed once
-//!   and applied **concurrently**, one worker per run of shards, with no
+//!   ([`ingest_set`](StreamingPipeline::ingest_set)) are routed once and
+//!   applied **concurrently**, one worker per run of shards, with no
 //!   locks (see `shard.rs` for the determinism argument);
 //! * only dirty users are re-profiled, and their CDFs go through a
 //!   **placement cache** (quantized CDF → zone + EMD + flatness) on the
@@ -64,10 +63,10 @@
 use std::sync::Arc;
 
 use crowdtz_stats::{Distribution24, Histogram24, BINS};
-use crowdtz_time::{Timestamp, TraceSet, UserTrace};
+use crowdtz_time::{Timestamp, TraceSet};
 
 use crate::crowd::CrowdProfile;
-use crate::engine::{chunked_map, PlacementCache, PlacementEngine, SharedPlacementCache};
+use crate::engine::{chunked_map, PlacementCache, PlacementEngine};
 use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
 use crate::placement::{PlacementHistogram, UserPlacement};
@@ -134,22 +133,6 @@ impl StreamObs {
     }
 }
 
-/// Which placement cache the pipeline resolves through.
-///
-/// The default is a **private** sequential cache: probes happen in input
-/// order under `&mut self`, so hit/miss/eviction counts are a pure
-/// function of the ingest history (the property the observability tests
-/// pin). The concurrent engine (`concurrent.rs`) switches the pipeline to
-/// a **shared** lock-striped cache so resolvers on other pipelines reuse
-/// the same entries; resolutions stay byte-identical (both backends only
-/// ever return values the same kernel computed from bit-identical CDFs),
-/// but the hit/miss split becomes schedule-dependent.
-#[derive(Debug, Clone)]
-enum CacheBackend {
-    Private(PlacementCache),
-    Shared(Arc<SharedPlacementCache>),
-}
-
 /// The last mixture fit, keyed by the exact zone counts it was computed
 /// from: identical counts → identical histogram → the cached fit *is* the
 /// refit, bit for bit.
@@ -192,9 +175,8 @@ pub struct StreamingPipeline {
     /// ([`GeolocationPipeline::shards`] sets the partition count).
     shards: ShardSet,
     /// CDF-keyed placement cache, persistent across refreshes
-    /// ([`GeolocationPipeline::placement_cache`] toggles it; the
-    /// concurrent engine swaps in a shared striped backend).
-    cache: CacheBackend,
+    /// ([`GeolocationPipeline::placement_cache`] toggles it).
+    cache: PlacementCache,
     /// Kept users' profiles in user-id order — exactly the vector the
     /// batch pipeline would build, patched in place per dirty user and
     /// shared with every snapshot through its [`Arc`]. `Arc::make_mut`
@@ -224,7 +206,7 @@ impl StreamingPipeline {
         let engine = PlacementEngine::with_grid(pipeline.generic(), grid);
         let obs = pipeline.obs().map(StreamObs::new);
         let shards = ShardSet::new(pipeline.effective_shards());
-        let cache = CacheBackend::Private(PlacementCache::new(pipeline.placement_cache_enabled()));
+        let cache = PlacementCache::new(pipeline.placement_cache_enabled());
         StreamingPipeline {
             pipeline,
             engine,
@@ -244,19 +226,6 @@ impl StreamingPipeline {
     #[must_use]
     pub fn refit_mode(mut self, refit: RefitMode) -> StreamingPipeline {
         self.refit = refit;
-        self
-    }
-
-    /// Switches placement resolution onto a lock-striped cache shared
-    /// with other resolvers — the concurrent engine's backend. Results
-    /// are byte-identical to the private cache (see [`CacheBackend`]);
-    /// hit/miss counts become schedule-dependent under concurrency.
-    #[must_use]
-    pub(crate) fn with_shared_cache(
-        mut self,
-        cache: Arc<SharedPlacementCache>,
-    ) -> StreamingPipeline {
-        self.cache = CacheBackend::Shared(cache);
         self
     }
 
@@ -292,13 +261,9 @@ impl StreamingPipeline {
     }
 
     /// Lifetime placement-cache `(hits, misses)`. With the cache disabled
-    /// every resolution counts as a miss. On the shared backend the
-    /// counts span every pipeline attached to the cache.
+    /// every resolution counts as a miss.
     pub fn cache_stats(&self) -> (u64, u64) {
-        match &self.cache {
-            CacheBackend::Private(cache) => cache.stats(),
-            CacheBackend::Shared(cache) => cache.stats(),
-        }
+        self.cache.stats()
     }
 
     /// Shard store access for the durable-persistence layer (`durable.rs`).
@@ -356,17 +321,8 @@ impl StreamingPipeline {
         if posts.is_empty() {
             return;
         }
-        if let Some(obs) = &self.obs {
-            obs.posts.add(posts.len() as u64);
-            obs.deltas.inc();
-        }
+        self.count_deltas(&[(user, posts)], false);
         self.shards.ingest(user, posts);
-    }
-
-    /// Ingests a whole trace as one delta (convenience for replaying
-    /// per-user deltas such as [`TraceSet::delta_from`]).
-    pub fn ingest_trace(&mut self, trace: &UserTrace) {
-        self.ingest(trace.id(), trace.posts());
     }
 
     /// Ingests every trace of a set (e.g. a first full crawl before
@@ -379,32 +335,12 @@ impl StreamingPipeline {
             .map(|t| (t.id(), t.posts()))
             .filter(|(_, p)| !p.is_empty())
             .collect();
-        self.ingest_deltas(&deltas);
-    }
-
-    /// Ingests a batch of single-post observations — the shape a forum
-    /// monitor poll produces (`Monitor::run_batched` in `crowdtz-forum`).
-    /// Each `(author, timestamp)` pair counts as one delta, exactly as if
-    /// [`ingest`](StreamingPipeline::ingest) had been called per
-    /// observation in order, but the batch is routed to the shards once
-    /// and applied concurrently.
-    pub fn ingest_posts(&mut self, posts: &[(String, Timestamp)]) {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)))
-            .collect();
-        self.ingest_deltas(&deltas);
-    }
-
-    /// [`ingest_posts`](Self::ingest_posts) over borrowed user ids —
-    /// callers that already hold `&str` keys (the live monitor loop, the
-    /// HTTP service) need not allocate owned `String`s per observation.
-    pub fn ingest_posts_ref(&mut self, posts: &[(&str, Timestamp)]) {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
-            .collect();
-        self.ingest_deltas(&deltas);
+        if deltas.is_empty() {
+            return;
+        }
+        self.count_deltas(&deltas, false);
+        self.shards
+            .apply_batch(&deltas, false, self.pipeline.effective_threads());
     }
 
     /// Retracts posts for one user — the signed inverse of
@@ -420,106 +356,47 @@ impl StreamingPipeline {
         if posts.is_empty() {
             return;
         }
-        if let Some(obs) = &self.obs {
-            obs.retracted.add(posts.len() as u64);
-            obs.deltas.inc();
-        }
+        self.count_deltas(&[(user, posts)], true);
         self.shards.retract(user, posts);
     }
 
-    /// Retracts a batch of single-post observations — the signed inverse
-    /// of [`ingest_posts`](Self::ingest_posts), routed and applied the
-    /// same way.
-    pub fn retract_posts(&mut self, posts: &[(String, Timestamp)]) {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)))
-            .collect();
-        self.retract_deltas(&deltas);
-    }
-
-    /// [`retract_posts`](Self::retract_posts) over borrowed user ids.
-    pub fn retract_posts_ref(&mut self, posts: &[(&str, Timestamp)]) {
-        let deltas: Vec<(&str, &[Timestamp])> = posts
-            .iter()
-            .map(|(user, ts)| (*user, std::slice::from_ref(ts)))
-            .collect();
-        self.retract_deltas(&deltas);
-    }
-
-    /// Bulk signed path: mirror of [`ingest_deltas`](Self::ingest_deltas)
-    /// with the sign flipped.
-    pub(crate) fn retract_deltas(&mut self, deltas: &[(&str, &[Timestamp])]) {
-        if deltas.is_empty() {
-            return;
-        }
-        if let Some(obs) = &self.obs {
-            let posts: usize = deltas.iter().map(|(_, p)| p.len()).sum();
-            obs.retracted.add(posts as u64);
-            obs.deltas.add(deltas.len() as u64);
-        }
-        self.shards
-            .retract_batch(deltas, self.pipeline.effective_threads());
-    }
-
-    /// [`retract_deltas`](Self::retract_deltas) through a **shared**
-    /// reference — the concurrent engine's writer path, under the same
-    /// one-shard-at-a-time locking as
-    /// [`ingest_deltas_shared`](Self::ingest_deltas_shared).
-    pub(crate) fn retract_deltas_shared(
-        &self,
-        deltas: &[(&str, &[Timestamp])],
-        ingest_obs: Option<&SharedIngestObs>,
-    ) {
-        if deltas.is_empty() {
-            return;
-        }
-        if let Some(obs) = &self.obs {
-            let posts: usize = deltas.iter().map(|(_, p)| p.len()).sum();
-            obs.retracted.add(posts as u64);
-            obs.deltas.add(deltas.len() as u64);
-        }
-        self.shards.retract_batch_shared(deltas, ingest_obs);
-    }
-
-    /// Shared bulk-ingest path: count the batch once (totals are
-    /// order-free), then let the shard set apply it in parallel.
-    fn ingest_deltas(&mut self, deltas: &[(&str, &[Timestamp])]) {
-        if deltas.is_empty() {
-            return;
-        }
-        if let Some(obs) = &self.obs {
-            let posts: usize = deltas.iter().map(|(_, p)| p.len()).sum();
-            obs.posts.add(posts as u64);
-            obs.deltas.add(deltas.len() as u64);
-        }
-        self.shards
-            .ingest_batch(deltas, self.pipeline.effective_threads());
-    }
-
-    /// [`ingest_deltas`](Self::ingest_deltas) through a **shared**
-    /// reference — the concurrent engine's writer path (`concurrent.rs`).
+    /// Applies a batch of signed deltas through a **shared** reference —
+    /// the concurrent engine's writer path (`concurrent.rs`).
     ///
     /// The batch locks one shard at a time
-    /// ([`ShardSet::ingest_batch_shared`]) and every metric update is an
+    /// ([`ShardSet::apply_batch_shared`]) and every metric update is an
     /// atomic add, so any number of writer threads may call this at once;
-    /// deltas commute (see `shard.rs`), so the final accumulator state —
-    /// and with it every later snapshot — is identical to a serial
-    /// application of the same batches in any order.
-    pub(crate) fn ingest_deltas_shared(
+    /// ingest deltas commute (see `shard.rs`), so the final accumulator
+    /// state — and with it every later snapshot — is identical to a
+    /// serial application of the same batches in any order. Retraction
+    /// only commutes with the ingest of the *same* posts when it runs
+    /// after it, so callers sequence a post's retraction after the batch
+    /// that ingested it.
+    pub(crate) fn apply_deltas_shared(
         &self,
         deltas: &[(&str, &[Timestamp])],
+        retract: bool,
         ingest_obs: Option<&SharedIngestObs>,
     ) {
         if deltas.is_empty() {
             return;
         }
+        self.count_deltas(deltas, retract);
+        self.shards.apply_batch_shared(deltas, retract, ingest_obs);
+    }
+
+    /// Counts a batch of signed deltas into the stream metrics (totals
+    /// are order-free, so one add per batch).
+    fn count_deltas(&self, deltas: &[(&str, &[Timestamp])], retract: bool) {
         if let Some(obs) = &self.obs {
             let posts: usize = deltas.iter().map(|(_, p)| p.len()).sum();
-            obs.posts.add(posts as u64);
+            if retract {
+                obs.retracted.add(posts as u64);
+            } else {
+                obs.posts.add(posts as u64);
+            }
             obs.deltas.add(deltas.len() as u64);
         }
-        self.shards.ingest_batch_shared(deltas, ingest_obs);
     }
 
     /// Re-analyzes exactly the dirty users: drain every shard's dirty set
@@ -557,16 +434,9 @@ impl StreamingPipeline {
             .iter()
             .filter_map(|p| p.as_ref().map(|&(_, cdf)| cdf))
             .collect();
-        let resolved = match &mut self.cache {
-            CacheBackend::Private(cache) => {
-                self.engine
-                    .resolve_cdfs(&cdfs, cache, threads, observer.as_deref())
-            }
-            CacheBackend::Shared(cache) => {
-                self.engine
-                    .resolve_cdfs_striped(&cdfs, cache, threads, observer.as_deref())
-            }
-        };
+        let resolved =
+            self.engine
+                .resolve_cdfs(&cdfs, &mut self.cache, threads, observer.as_deref());
         // Phase 3 (sequential): assemble analyses and patch shared state.
         let mut resolutions = resolved.into_iter();
         let mut placed = 0u64;
@@ -783,7 +653,7 @@ fn l1_shift(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crowdtz_synth::PopulationSpec;
-    use crowdtz_time::RegionDb;
+    use crowdtz_time::{RegionDb, UserTrace};
 
     fn crowd(region: &str, users: usize, seed: u64) -> TraceSet {
         let db = RegionDb::extended();
@@ -924,14 +794,14 @@ mod tests {
         // Prime both with most of the crowd, then trickle the rest.
         let all: Vec<&UserTrace> = traces.iter().collect();
         for t in &all[..50] {
-            exact.ingest_trace(t);
-            warm.ingest_trace(t);
+            exact.ingest(t.id(), t.posts());
+            warm.ingest(t.id(), t.posts());
         }
         exact.snapshot().unwrap();
         warm.snapshot().unwrap();
         for t in &all[50..] {
-            exact.ingest_trace(t);
-            warm.ingest_trace(t);
+            exact.ingest(t.id(), t.posts());
+            warm.ingest(t.id(), t.posts());
         }
         let e = exact.snapshot().unwrap();
         let w = warm.snapshot().unwrap();
@@ -1008,7 +878,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_posts_matches_per_observation_ingest() {
+    fn ingest_set_matches_per_observation_ingest() {
         let traces = crowd("italy", 15, 23);
         let mut batch: Vec<(String, Timestamp)> = Vec::new();
         for t in traces.iter() {
@@ -1018,7 +888,7 @@ mod tests {
         }
         let pipeline = GeolocationPipeline::default().min_posts(10).threads(2);
         let mut batched = StreamingPipeline::new(pipeline.clone());
-        batched.ingest_posts(&batch);
+        batched.ingest_set(&traces);
         let mut serial = StreamingPipeline::new(pipeline);
         for (user, ts) in &batch {
             serial.ingest(user, std::slice::from_ref(ts));
@@ -1040,7 +910,7 @@ mod tests {
         let pipeline = GeolocationPipeline::default().min_posts(10).threads(2);
         let mut stream = StreamingPipeline::new(pipeline.clone());
         for t in &all {
-            stream.ingest_trace(t);
+            stream.ingest(t.id(), t.posts());
         }
         // B = the back half of every user's history.
         for t in &all {
@@ -1078,31 +948,11 @@ mod tests {
         }
         let mut fresh = StreamingPipeline::new(pipeline);
         for t in traces.iter().skip(10) {
-            fresh.ingest_trace(t);
+            fresh.ingest(t.id(), t.posts());
         }
         assert_eq!(
             report_json(&stream.snapshot().unwrap()),
             report_json(&fresh.snapshot().unwrap())
-        );
-    }
-
-    #[test]
-    fn borrowed_ingest_posts_matches_owned() {
-        let traces = crowd("france", 12, 35);
-        let owned: Vec<(String, Timestamp)> = traces
-            .iter()
-            .flat_map(|t| t.posts().iter().map(|&p| (t.id().to_owned(), p)))
-            .collect();
-        let borrowed: Vec<(&str, Timestamp)> =
-            owned.iter().map(|(u, p)| (u.as_str(), *p)).collect();
-        let pipeline = GeolocationPipeline::default().min_posts(5).threads(2);
-        let mut a = StreamingPipeline::new(pipeline.clone());
-        a.ingest_posts(&owned);
-        let mut b = StreamingPipeline::new(pipeline);
-        b.ingest_posts_ref(&borrowed);
-        assert_eq!(
-            report_json(&a.snapshot().unwrap()),
-            report_json(&b.snapshot().unwrap())
         );
     }
 

@@ -375,7 +375,7 @@ mod tests {
         let writer = a.engine().writer();
         for day in 0..10i64 {
             writer
-                .ingest("ua", &[Timestamp::from_secs(day * 86_400 + 20 * 3_600)])
+                .ingest_posts_ref(&[("ua", Timestamp::from_secs(day * 86_400 + 20 * 3_600))])
                 .unwrap();
         }
         assert_eq!(a.engine().users_tracked(), 1);
@@ -406,7 +406,7 @@ mod tests {
         let writer = durable.engine().writer();
         for day in 0..10i64 {
             writer
-                .ingest("u", &[Timestamp::from_secs(day * 86_400 + 7 * 3_600)])
+                .ingest_posts_ref(&[("u", Timestamp::from_secs(day * 86_400 + 7 * 3_600))])
                 .unwrap();
         }
         assert_eq!(registry.checkpoint_all().unwrap(), 1);

@@ -12,7 +12,9 @@
 
 use proptest::prelude::*;
 
-use crowdtz_core::{ConcurrentStreamingPipeline, GeolocationPipeline, StreamingPipeline, ZoneGrid};
+use crowdtz_core::{
+    ConcurrentStreamingPipeline, GeolocationPipeline, IngestWriter, StreamingPipeline, ZoneGrid,
+};
 use crowdtz_synth::PopulationSpec;
 use crowdtz_time::{RegionDb, Timestamp};
 
@@ -75,6 +77,15 @@ fn pipeline(shards: usize, grid: ZoneGrid) -> GeolocationPipeline {
         .grid(grid)
 }
 
+/// One user's posts as a single-delta ingest batch.
+fn ingest(writer: &IngestWriter, user: &str, posts: &[Timestamp]) {
+    let batch = crowdtz_core::Batch {
+        ingest: &[(user, posts)],
+        ..crowdtz_core::Batch::default()
+    };
+    assert!(writer.apply(&batch).unwrap());
+}
+
 /// The single-owner reference: all batches, sequentially, `&mut` path.
 fn sequential_json(batches: &[Batch], shards: usize, grid: ZoneGrid) -> String {
     let mut engine = StreamingPipeline::new(pipeline(shards, grid));
@@ -92,7 +103,7 @@ fn concurrent_json(schedules: &[Vec<Batch>], shards: usize, grid: ZoneGrid) -> S
             let writer = engine.writer();
             scope.spawn(move || {
                 for (user, posts) in schedule {
-                    writer.ingest(user, posts).unwrap();
+                    ingest(&writer, user, posts);
                 }
             });
         }
@@ -143,7 +154,7 @@ fn durable_concurrent_matches_plain_sequential_and_recovers_identically() {
             let writer = engine.writer();
             scope.spawn(move || {
                 for (user, posts) in &schedule {
-                    writer.ingest(user, posts).unwrap();
+                    ingest(&writer, user, posts);
                 }
             });
         }
@@ -157,12 +168,12 @@ fn durable_concurrent_matches_plain_sequential_and_recovers_identically() {
     engine.checkpoint_now().unwrap().expect("durable engine");
     drop(engine);
 
-    // Recovery through the *sequential* durable path sees the same state:
-    // the concurrent WAL is an ordinary log.
-    let mut recovered =
-        StreamingPipeline::open_durable(pipeline(4, ZoneGrid::Hourly), &dir).unwrap();
+    // Recovery replays the concurrent WAL as an ordinary log and lands
+    // on the same state.
+    let recovered =
+        ConcurrentStreamingPipeline::open_durable(pipeline(4, ZoneGrid::Hourly), &dir).unwrap();
     assert_eq!(
-        serde_json::to_string(&recovered.snapshot().unwrap()).unwrap(),
+        serde_json::to_string(recovered.publish().unwrap().report()).unwrap(),
         want,
         "recovery diverged"
     );
@@ -184,7 +195,7 @@ fn every_mid_ingest_report_equals_its_watermark_prefix_replayed() {
         for (writer, schedule) in writers.iter().zip(&schedules) {
             scope.spawn(move || {
                 for (user, posts) in schedule {
-                    writer.ingest(user, posts).unwrap();
+                    ingest(writer, user, posts);
                     std::thread::yield_now();
                 }
             });
@@ -232,6 +243,152 @@ fn every_mid_ingest_report_equals_its_watermark_prefix_replayed() {
         sequential_json(&all, 4, ZoneGrid::Hourly),
         "final cut diverged from the full sequential reference"
     );
+}
+
+/// A fresh temp directory for one durable test.
+fn tmp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("crowdtz-batch-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn as_deltas(batches: &[Batch]) -> Vec<(&str, &[Timestamp])> {
+    batches
+        .iter()
+        .map(|(user, posts)| (user.as_str(), posts.as_slice()))
+        .collect()
+}
+
+#[test]
+fn mixed_batch_bytes_match_across_live_reopen_and_survivors() {
+    let all = batches(13);
+    let (first, second) = all.split_at(all.len() / 2);
+    // The mixed batch ingests the second half and, in the same record,
+    // retracts the back half of every first-half chunk.
+    let dropped: Vec<Batch> = first
+        .iter()
+        .map(|(user, posts)| (user.clone(), posts[posts.len() / 2..].to_vec()))
+        .collect();
+    let survivors: Vec<Batch> = first
+        .iter()
+        .map(|(user, posts)| (user.clone(), posts[..posts.len() / 2].to_vec()))
+        .chain(second.iter().cloned())
+        .collect();
+    let want = sequential_json(&survivors, 4, ZoneGrid::Hourly);
+
+    let dir = tmp_dir("mixed");
+    let live = {
+        let engine =
+            ConcurrentStreamingPipeline::open_durable(pipeline(4, ZoneGrid::Hourly), &dir).unwrap();
+        let writer = engine.writer();
+        let seed = as_deltas(first);
+        let ingest = as_deltas(second);
+        let retract = as_deltas(&dropped);
+        assert!(writer
+            .apply(&crowdtz_core::Batch {
+                ingest: &seed,
+                ..crowdtz_core::Batch::default()
+            })
+            .unwrap());
+        assert!(writer
+            .apply(&crowdtz_core::Batch {
+                ingest: &ingest,
+                retract: &retract,
+                ..crowdtz_core::Batch::default()
+            })
+            .unwrap());
+        let published = engine.publish().unwrap();
+        assert_eq!(published.watermarks(), &[2]);
+        serde_json::to_string(published.report()).unwrap()
+    };
+    let reopened = {
+        let engine =
+            ConcurrentStreamingPipeline::open_durable(pipeline(4, ZoneGrid::Hourly), &dir).unwrap();
+        let published = engine.publish().unwrap();
+        serde_json::to_string(published.report()).unwrap()
+    };
+    assert_eq!(live, want, "live mixed batch diverged from the survivors");
+    assert_eq!(reopened, want, "replayed mixed record diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn racing_writers_apply_one_source_seq_exactly_once() {
+    let posts: Vec<Timestamp> = (0..6)
+        .map(|d| Timestamp::from_secs(d * 86_400 + 20 * 3_600))
+        .collect();
+    let deltas = [("u", posts.as_slice())];
+    let batch = crowdtz_core::Batch {
+        ingest: &deltas,
+        source_seq: 1,
+        checkpoint: Some("after-1"),
+        ..crowdtz_core::Batch::default()
+    };
+    for _ in 0..20 {
+        let engine = ConcurrentStreamingPipeline::new(pipeline(4, ZoneGrid::Hourly));
+        let writers = [engine.writer(), engine.writer()];
+        let start = std::sync::Barrier::new(writers.len());
+        let applied: Vec<bool> = std::thread::scope(|scope| {
+            let handles: Vec<_> = writers
+                .iter()
+                .map(|writer| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        writer.apply(&batch).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(applied.iter().filter(|&&a| a).count(), 1, "{applied:?}");
+        assert_eq!(engine.posts_ingested(), posts.len(), "posts counted once");
+        assert_eq!(engine.last_source_seq(), 1);
+        assert_eq!(engine.source_checkpoint().as_deref(), Some("after-1"));
+        let published = engine.publish().unwrap();
+        assert_eq!(published.watermarks().iter().sum::<u64>(), 1);
+        let moved: Vec<u64> = writers.iter().map(IngestWriter::batches_applied).collect();
+        let winner = applied.iter().position(|&a| a).unwrap();
+        assert_eq!(moved[winner], 1);
+        assert_eq!(moved[1 - winner], 0);
+    }
+}
+
+#[test]
+fn deduped_batch_appends_no_wal_record() {
+    let dir = tmp_dir("dedup");
+    let engine =
+        ConcurrentStreamingPipeline::open_durable(pipeline(4, ZoneGrid::Hourly), &dir).unwrap();
+    let writer = engine.writer();
+    let all = batches(17);
+    let first = as_deltas(&all[..10]);
+    let batch = crowdtz_core::Batch {
+        ingest: &first,
+        source_seq: 7,
+        checkpoint: Some("ckpt-7"),
+        ..crowdtz_core::Batch::default()
+    };
+    assert!(writer.apply(&batch).unwrap());
+    let log = dir.join(crowdtz_store::LOG_FILE);
+    let len = std::fs::metadata(&log).unwrap().len();
+    assert!(len > 0);
+    // The same sequence number, and an older one, with other posts.
+    let other = as_deltas(&all[10..20]);
+    for source_seq in [7, 3] {
+        let stale = crowdtz_core::Batch {
+            ingest: &other,
+            source_seq,
+            checkpoint: Some("stale"),
+            ..crowdtz_core::Batch::default()
+        };
+        assert!(!writer.apply(&stale).unwrap());
+        assert_eq!(std::fs::metadata(&log).unwrap().len(), len);
+    }
+    assert_eq!(writer.batches_applied(), 1);
+    assert_eq!(engine.source_checkpoint().as_deref(), Some("ckpt-7"));
+    drop(writer);
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

@@ -3,13 +3,16 @@
 //! The contract under test (ISSUE 6): for **any** crash point injected
 //! by `FaultStore`, `open_durable` recovers either the pre-crash
 //! snapshot state or the post-batch state — never a partial batch —
-//! and the recovered engine's `snapshot()` is serde_json byte-identical
-//! to a never-crashed engine fed the same deltas.
+//! and the recovered engine's published report is serde_json
+//! byte-identical to a never-crashed engine fed the same deltas.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crowdtz_core::{GeolocationPipeline, StreamingPipeline, ZoneGrid};
+use crowdtz_core::{
+    Batch, ConcurrentStreamingPipeline, CoreError, GeolocationPipeline, IngestWriter,
+    StreamingPipeline, ZoneGrid,
+};
 use crowdtz_store::{FaultPlan, FaultStore};
 use crowdtz_time::Timestamp;
 use proptest::prelude::*;
@@ -39,6 +42,41 @@ fn batch(seed: u64, b: u64) -> Vec<(String, Timestamp)> {
     posts
 }
 
+/// Applies monitor batch `posts` as one [`Batch`] under sequence number
+/// `seq`, with the checkpoint logged in the same record.
+fn apply(
+    writer: &IngestWriter,
+    seq: u64,
+    posts: &[(String, Timestamp)],
+    checkpoint: Option<&str>,
+) -> Result<bool, CoreError> {
+    let ingest: Vec<(&str, &[Timestamp])> = posts
+        .iter()
+        .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)))
+        .collect();
+    writer.apply(&Batch {
+        ingest: &ingest,
+        source_seq: seq,
+        checkpoint,
+        ..Batch::default()
+    })
+}
+
+/// Feeds single-post observations to an in-memory reference engine.
+fn ingest_posts(engine: &mut StreamingPipeline, posts: &[(String, Timestamp)]) {
+    for (user, ts) in posts {
+        engine.ingest(user, std::slice::from_ref(ts));
+    }
+}
+
+/// Published report serialized to a comparable string, or the error.
+fn published_json(engine: &ConcurrentStreamingPipeline) -> String {
+    match engine.publish() {
+        Ok(r) => serde_json::to_string(r.report()).unwrap(),
+        Err(e) => format!("error: {e}"),
+    }
+}
+
 fn pipeline() -> GeolocationPipeline {
     GeolocationPipeline::default().min_posts(1)
 }
@@ -57,7 +95,7 @@ fn snapshot_json(engine: &mut StreamingPipeline) -> String {
 fn reference_json(seed: u64, upto: u64) -> String {
     let mut engine = StreamingPipeline::new(pipeline());
     for b in 1..=upto {
-        engine.ingest_posts(&batch(seed, b));
+        ingest_posts(&mut engine, &batch(seed, b));
     }
     snapshot_json(&mut engine)
 }
@@ -67,29 +105,26 @@ fn warm_restart_resumes_byte_identical() {
     let seed = 42;
     let dir = tmp_dir("warm-restart");
 
-    // Run 1: ingest 5 monitor batches with a tiny rotation threshold so
-    // at least one snapshot generation is written, then "die" abruptly
-    // (drop without any orderly shutdown).
+    // Run 1: ingest 5 monitor batches, rotating a snapshot generation
+    // after each, then "die" abruptly (drop without any orderly
+    // shutdown).
     {
-        let mut durable = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
-        durable.snapshot_every_bytes(512);
+        let durable = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+        let writer = durable.writer();
         for b in 1..=5u64 {
             let ckpt = format!("ckpt-{b}");
-            assert!(durable
-                .ingest_batch(b, &batch(seed, b), Some(&ckpt))
-                .unwrap());
+            assert!(apply(&writer, b, &batch(seed, b), Some(&ckpt)).unwrap());
+            durable.checkpoint_now().unwrap();
         }
         assert_eq!(durable.last_source_seq(), 5);
     }
 
     // Run 2: recover, verify bookkeeping, and resume.
-    let mut durable = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+    let durable = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+    let writer = durable.writer();
     assert_eq!(durable.last_source_seq(), 5);
-    assert_eq!(durable.source_checkpoint(), Some("ckpt-5"));
-    let recovered = match durable.snapshot() {
-        Ok(r) => serde_json::to_string(&r).unwrap(),
-        Err(e) => format!("error: {e}"),
-    };
+    assert_eq!(durable.source_checkpoint().as_deref(), Some("ckpt-5"));
+    let recovered = published_json(&durable);
     assert_eq!(
         recovered,
         reference_json(seed, 5),
@@ -98,19 +133,12 @@ fn warm_restart_resumes_byte_identical() {
 
     // A re-delivered boundary batch (the monitor restart gap) is
     // dropped by sequence number, not double-counted.
-    assert!(!durable
-        .ingest_batch(5, &batch(seed, 5), Some("ckpt-5"))
-        .unwrap());
-    assert_eq!(durable.stream().posts_ingested(), 5 * 8);
+    assert!(!apply(&writer, 5, &batch(seed, 5), Some("ckpt-5")).unwrap());
+    assert_eq!(durable.posts_ingested(), 5 * 8);
 
     // Resuming matches an engine that never restarted.
-    assert!(durable
-        .ingest_batch(6, &batch(seed, 6), Some("ckpt-6"))
-        .unwrap());
-    let resumed = match durable.snapshot() {
-        Ok(r) => serde_json::to_string(&r).unwrap(),
-        Err(e) => format!("error: {e}"),
-    };
+    assert!(apply(&writer, 6, &batch(seed, 6), Some("ckpt-6")).unwrap());
+    let resumed = published_json(&durable);
     assert_eq!(resumed, reference_json(seed, 6), "resumed state diverged");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -120,23 +148,28 @@ fn warm_restart_replays_only_the_log_suffix() {
     let seed = 7;
     let dir = tmp_dir("suffix-only");
     {
-        let mut durable = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+        let durable = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+        let writer = durable.writer();
         for b in 1..=20u64 {
-            durable.ingest_batch(b, &batch(seed, b), None).unwrap();
+            apply(&writer, b, &batch(seed, b), None).unwrap();
         }
         // Explicit rotation: everything so far is covered by the
         // snapshot and compacted out of the log...
         durable.checkpoint_now().unwrap();
         // ...and only these two records should ever replay again.
-        durable.ingest_batch(21, &batch(seed, 21), None).unwrap();
-        durable.ingest_batch(22, &batch(seed, 22), None).unwrap();
+        apply(&writer, 21, &batch(seed, 21), None).unwrap();
+        apply(&writer, 22, &batch(seed, 22), None).unwrap();
     }
     let vfs = FaultStore::new(FaultPlan::new(0));
-    let durable = StreamingPipeline::open_durable_with(pipeline(), Box::new(vfs), &dir).unwrap();
+    let durable =
+        ConcurrentStreamingPipeline::open_durable_with(pipeline(), Box::new(vfs), &dir).unwrap();
     // 22 batches ingested, but the warm restart replayed only 2.
     assert_eq!(durable.last_source_seq(), 22);
     assert!(
-        durable.store().log_len() > 0,
+        std::fs::metadata(dir.join(crowdtz_store::LOG_FILE))
+            .unwrap()
+            .len()
+            > 0,
         "suffix records remain in the log"
     );
     let (_, rec) = crowdtz_store::DurableStore::open(&dir).unwrap();
@@ -152,9 +185,10 @@ fn recovery_tolerates_a_torn_log_tail() {
     let seed = 3;
     let dir = tmp_dir("torn-tail");
     {
-        let mut durable = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+        let durable = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+        let writer = durable.writer();
         for b in 1..=3u64 {
-            durable.ingest_batch(b, &batch(seed, b), None).unwrap();
+            apply(&writer, b, &batch(seed, b), None).unwrap();
         }
     }
     // Crash signature: a half-written record at the log tail.
@@ -164,16 +198,13 @@ fn recovery_tolerates_a_torn_log_tail() {
     data.extend_from_slice(&garbage[..garbage.len() / 2]);
     std::fs::write(&log, &data).unwrap();
 
-    let mut durable = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+    let durable = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
     assert_eq!(
         durable.last_source_seq(),
         3,
         "torn tail recovers to last full batch"
     );
-    let got = match durable.snapshot() {
-        Ok(r) => serde_json::to_string(&r).unwrap(),
-        Err(e) => format!("error: {e}"),
-    };
+    let got = published_json(&durable);
     assert_eq!(got, reference_json(seed, 3));
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -216,7 +247,7 @@ fn quarter_grid_placements_survive_restart_exactly() {
     let reference = {
         let mut engine = StreamingPipeline::new(quarter());
         for posts in &shifted {
-            engine.ingest_posts(posts);
+            ingest_posts(&mut engine, posts);
         }
         snapshot_json(&mut engine)
     };
@@ -228,19 +259,17 @@ fn quarter_grid_placements_survive_restart_exactly() {
     );
 
     {
-        let mut durable = StreamingPipeline::open_durable(quarter(), &dir).unwrap();
+        let durable = ConcurrentStreamingPipeline::open_durable(quarter(), &dir).unwrap();
+        let writer = durable.writer();
         for (b, posts) in shifted.iter().enumerate() {
-            durable.ingest_batch(b as u64 + 1, posts, None).unwrap();
+            apply(&writer, b as u64 + 1, posts, None).unwrap();
         }
         // Force a snapshot generation so recovery rebuilds placements
         // from the persisted accumulator, not by replaying the log.
         durable.checkpoint_now().unwrap();
     }
-    let mut recovered = StreamingPipeline::open_durable(quarter(), &dir).unwrap();
-    let got = match recovered.snapshot() {
-        Ok(r) => serde_json::to_string(&r).unwrap(),
-        Err(e) => format!("error: {e}"),
-    };
+    let recovered = ConcurrentStreamingPipeline::open_durable(quarter(), &dir).unwrap();
+    let got = published_json(&recovered);
     assert_eq!(
         got, reference,
         "quarter-grid placements truncated by recovery"
@@ -264,25 +293,27 @@ proptest! {
         let vfs = FaultStore::new(FaultPlan::new(seed).crash_at(crash_at));
         let probe = vfs.probe();
         let mut acked = 0u64;
-        match StreamingPipeline::open_durable_with(pipeline(), Box::new(vfs), &dir) {
+        match ConcurrentStreamingPipeline::open_durable_with(pipeline(), Box::new(vfs), &dir) {
             Err(e) => {
                 prop_assert!(
                     matches!(e, crowdtz_core::CoreError::Store(ref s) if s.is_injected_crash()),
                     "unexpected open failure: {}", e
                 );
             }
-            Ok(mut durable) => {
-                // Tiny threshold: rotations (part writes, manifest
-                // rename, compaction) happen mid-workload, putting
+            Ok(durable) => {
+                // A rotation after every batch: part writes, manifest
+                // rename and compaction happen mid-workload, putting
                 // crash points inside every store code path.
-                durable.snapshot_every_bytes(700);
+                let writer = durable.writer();
                 for b in 1..=6u64 {
                     let ckpt = format!("ckpt-{b}");
-                    match durable.ingest_batch(b, &batch(seed, b), Some(&ckpt)) {
-                        Ok(applied) => {
-                            prop_assert!(applied);
-                            acked = b;
-                        }
+                    let step = apply(&writer, b, &batch(seed, b), Some(&ckpt))
+                        .and_then(|applied| {
+                            acked += u64::from(applied);
+                            durable.checkpoint_now().map(|_| applied)
+                        });
+                    match step {
+                        Ok(applied) => prop_assert!(applied),
                         Err(e) => {
                             prop_assert!(
                                 matches!(e, crowdtz_core::CoreError::Store(ref s) if s.is_injected_crash()),
@@ -296,7 +327,7 @@ proptest! {
         }
 
         // "Restart the process": reopen with a clean VFS.
-        let mut recovered = StreamingPipeline::open_durable(pipeline(), &dir)
+        let recovered = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir)
             .map_err(|e| format!("recovery must never fail, got: {e}"))?;
         let r = recovered.last_source_seq();
         // Never a partial batch: the recovered sequence is a batch
@@ -311,14 +342,11 @@ proptest! {
             let want = format!("ckpt-{r}");
             prop_assert_eq!(
                 recovered.source_checkpoint(),
-                Some(want.as_str()),
+                Some(want),
                 "checkpoint must travel with its batch"
             );
         }
-        let got = match recovered.snapshot() {
-            Ok(rep) => serde_json::to_string(&rep).unwrap(),
-            Err(e) => format!("error: {e}"),
-        };
+        let got = published_json(&recovered);
         prop_assert_eq!(got, reference_json(seed, r), "diverged at boundary {}", r);
         std::fs::remove_dir_all(&dir).ok();
     }

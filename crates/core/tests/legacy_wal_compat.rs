@@ -136,14 +136,14 @@ fn reference_json() -> String {
 #[test]
 fn old_format_log_recovers_byte_identically_on_the_durable_engine() {
     let dir = seeded_dir("single");
-    let mut recovered = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+    let recovered = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
     assert_eq!(recovered.last_source_seq(), 5, "source seq recovered");
     assert_eq!(
-        recovered.source_checkpoint(),
+        recovered.source_checkpoint().as_deref(),
         Some("round-5"),
         "checkpoint recovered"
     );
-    let got = serde_json::to_string(&recovered.snapshot().unwrap()).unwrap();
+    let got = serde_json::to_string(recovered.publish().unwrap().report()).unwrap();
     assert_eq!(got, reference_json(), "legacy replay diverged");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -69,9 +69,9 @@ pub fn run(config: &Config) -> ExperimentOutput {
         let to = start + days * 86_400;
         monitor
             .run_batched(previous_end, to, 1_800, |batch| {
-                // One concurrent sharded ingest per poll, instead of one
-                // delta per post.
-                streaming.ingest_posts(batch);
+                for (user, ts) in batch {
+                    streaming.ingest(user, std::slice::from_ref(ts));
+                }
             })
             .expect("monitor");
         previous_end = to;

@@ -3,9 +3,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crowdtz_tor::HiddenService;
 
@@ -166,7 +164,7 @@ impl ForumHost {
             TimestampPolicy::DelayedUniform { max_delay_secs } => {
                 // Deterministic pseudo-delay derived from the submission
                 // count, so tests are reproducible.
-                let count = self.submitted.lock().len() as i64;
+                let count = relock(&self.submitted).len() as i64;
                 let delay = if max_delay_secs == 0 {
                     0
                 } else {
@@ -176,11 +174,11 @@ impl ForumHost {
             }
         };
         let post = ShownPost {
-            id: PostId(self.forum.post_count() as u64 + self.submitted.lock().len() as u64),
+            id: PostId(self.forum.post_count() as u64 + relock(&self.submitted).len() as u64),
             author,
             shown_time,
         };
-        self.submitted.lock().push(post.clone());
+        relock(&self.submitted).push(post.clone());
         Response::Posted { post }
     }
 
@@ -195,6 +193,13 @@ impl ForumHost {
             .collect();
         Response::Fresh { posts }
     }
+}
+
+/// Locks a mutex with the workspace poisoning policy: every value behind
+/// these locks is updated whole by each holder, so a panicked former
+/// holder is survivable.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl fmt::Debug for ForumHost {

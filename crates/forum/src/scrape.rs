@@ -713,11 +713,11 @@ impl Monitor {
     /// Like [`run_each`](Monitor::run_each), but delivers each poll's
     /// observations as one batch instead of one callback per post.
     ///
-    /// This is the natural feed for the sharded streaming engine: hand
-    /// every batch to `crowdtz_core::StreamingPipeline::ingest_posts`,
-    /// which routes the whole poll across accumulator shards in one
-    /// concurrent pass, then snapshot between rounds. Empty polls are
-    /// not delivered.
+    /// This is the natural feed for the concurrent streaming engine: hand
+    /// every batch to `crowdtz_core::IngestWriter::ingest_posts_ref`,
+    /// which applies the whole poll as one batch across the accumulator
+    /// shards, then publish between rounds. Empty polls are not
+    /// delivered.
     pub fn run_batched(
         &mut self,
         from: Timestamp,
@@ -823,13 +823,13 @@ impl Monitor {
     /// session *after* that batch.
     ///
     /// This is the durable streaming feed. The sequence number closes
-    /// the restart gap: persist it *with* the batch (e.g. hand both to
-    /// `crowdtz_core::DurableStreamingPipeline::ingest_batch`, which
-    /// stores the serialized checkpoint in the same log record as the
-    /// batch) and a killed session restarted from a recovered — possibly
-    /// stale — checkpoint re-delivers the boundary batch with its
-    /// original sequence number, so the consumer drops it by comparison
-    /// instead of double-counting it.
+    /// the restart gap: persist it *with* the batch (e.g. as the
+    /// `source_seq` and `checkpoint` of a `crowdtz_core::Batch` applied
+    /// to a durable engine, which stores the serialized checkpoint in the
+    /// same log record as the posts) and a killed session restarted from
+    /// a recovered — possibly stale — checkpoint re-delivers the
+    /// boundary batch with its original sequence number, so the consumer
+    /// drops it by comparison instead of double-counting it.
     ///
     /// Unlike [`resume_run`](Monitor::resume_run), the checkpoint does
     /// **not** accumulate traces (the consumer owns the observations),

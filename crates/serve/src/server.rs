@@ -16,7 +16,7 @@
 //! # Interaction with the engine's gate
 //!
 //! Ingest handlers hold the engine's read gate only inside
-//! `ingest_deltas`; snapshot handlers read the published cell without
+//! `IngestWriter::apply`; snapshot handlers read the published cell without
 //! any lock. A slow `publish` (write gate) therefore stalls concurrent
 //! *ingest* batches briefly but never a plain `GET …/snapshot` — the
 //! service stays readable under its own re-analysis.

@@ -16,7 +16,7 @@ use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
-use crowdtz_core::{ConcurrentStreamingPipeline, GeolocationPipeline};
+use crowdtz_core::{Batch, ConcurrentStreamingPipeline, GeolocationPipeline};
 use crowdtz_serve::HttpClient;
 use crowdtz_time::Timestamp;
 use serde_json::json;
@@ -69,7 +69,11 @@ fn reference(upto: usize) -> Vec<u8> {
     let writer = engine.writer();
     for batch in &batches()[..upto] {
         for (user, posts) in batch {
-            writer.ingest(user, posts).expect("reference ingest");
+            let batch = Batch {
+                ingest: &[(user.as_str(), posts.as_slice())],
+                ..Batch::default()
+            };
+            writer.apply(&batch).expect("reference ingest");
         }
     }
     serde_json::to_vec(engine.publish().expect("reference publish").report())

@@ -18,7 +18,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crowdtz_core::{ConcurrentStreamingPipeline, GeolocationPipeline};
+use crowdtz_core::{Batch, ConcurrentStreamingPipeline, GeolocationPipeline};
 use crowdtz_serve::{serve, HttpClient, ServeConfig, ServerHandle};
 use crowdtz_time::Timestamp;
 use proptest::prelude::*;
@@ -356,7 +356,11 @@ fn garbage_never_poisons_a_tenant() {
     let engine = ConcurrentStreamingPipeline::new(GeolocationPipeline::default().min_posts(3));
     let writer = engine.writer();
     for (user, posts) in &deltas {
-        writer.ingest(user, posts).expect("reference ingest");
+        let batch = Batch {
+            ingest: &[(user.as_str(), posts.as_slice())],
+            ..Batch::default()
+        };
+        writer.apply(&batch).expect("reference ingest");
     }
     let reference = serde_json::to_vec(engine.publish().expect("reference publish").report())
         .expect("serialize");

@@ -45,8 +45,8 @@
 /// Fixed-point scale for quantized CDF values: `2^22`.
 ///
 /// CDF values live in `[0, 1]`, so a quantized value fits easily in `i32`;
-/// an antipodal-fold term is at most `2·2^22` and a folded sum over 48
-/// pairs (the 96-bin grid) at most `48·2·2^22 + slack < 2^31`, so the
+/// a quad-plane difference is at most `4·2^22` and a bound summed over 24
+/// quads (the 96-bin grid) at most `24·4·2^22 + slack < 2^31`, so the
 /// batched accumulation never overflows `i32`.
 pub const CDF_FIXED_SCALE: f64 = (1u32 << 22) as f64;
 
@@ -64,7 +64,7 @@ pub const EMD_LANES: usize = 64;
 /// 23 + 1 significand bits), and truncating `y + 0.5` is floor, i.e.
 /// round-half-away-from-zero for non-negative `y` — `.round()`'s rule.
 /// The cast form avoids the `round` libm call, which costs more than the
-/// entire antipodal fold on targets without a native rounding instruction.
+/// entire quad fold on targets without a native rounding instruction.
 #[inline]
 pub fn quantize_cdf(x: f64) -> i32 {
     debug_assert!((-1.0..=2.0).contains(&x));
@@ -74,14 +74,11 @@ pub fn quantize_cdf(x: f64) -> i32 {
 /// The slack (in fixed-point quanta) that makes the integer lower bound
 /// conservative for a `bins`-wide circular grid.
 ///
-/// Each antipodal fold term `|Q(u_h) − Q(u_{h+half}) − Q(z_h) + Q(z_{h+half})|`
-/// involves four quantizations of at most half a quantum error each, so a
-/// sum over `bins / 2` antipodal pairs is within `2 · bins / 2 = bins`
-/// quanta of the scaled real-valued bound. The quad bound
-/// ([`batch_quad_bounds`]) lands on the same total: each plane difference
-/// involves eight quantizations (≤ 4 quanta of error), the max of the
-/// three planes inherits that error budget, and there are `bins / 4`
-/// quads — `4 · bins / 4 = bins` quanta again. One extra quantum
+/// In the quad bound ([`batch_quad_bounds`]) each plane difference
+/// involves eight quantizations of at most half a quantum error each
+/// (≤ 4 quanta), the max of the three planes inherits that error budget,
+/// and there are `bins / 4` quads — within `4 · bins / 4 = bins` quanta
+/// of the scaled real-valued bound. One extra quantum
 /// generously absorbs the `f64` rounding of the quantization products
 /// themselves.
 /// Subtracting this slack before comparing against the best distance means
@@ -137,77 +134,6 @@ pub fn circular_emd_lower_bound_slice(diffs: &[f64]) -> f64 {
         acc += (diffs[h] - diffs[h + half]).abs();
     }
     acc
-}
-
-/// Folds a CDF into its quantized antipodal differences:
-/// `out[h] = Q(cdf[h]) − Q(cdf[h + half])` for `h` in `0..half`.
-///
-/// The antipodal lower bound between a user and a zone CDF is then a pure
-/// integer expression over two folds:
-/// `Σ_h |fold_u[h] − fold_z[h]|` (see [`batch_fold_bounds`]).
-#[inline]
-pub fn antipodal_fold(cdf: &[f64], out: &mut [i32]) {
-    let half = cdf.len() / 2;
-    debug_assert_eq!(out.len(), half);
-    for h in 0..half {
-        out[h] = quantize_cdf(cdf[h]) - quantize_cdf(cdf[h + half]);
-    }
-}
-
-#[inline(always)]
-fn batch_fold_bounds_impl(user_folds: &[i32], zone_fold: &[i32], lanes: usize, bounds: &mut [i32]) {
-    for (h, &z) in zone_fold.iter().enumerate() {
-        let row = &user_folds[h * lanes..(h + 1) * lanes];
-        for (b, &u) in bounds.iter_mut().zip(row.iter()) {
-            *b += (u - z).abs();
-        }
-    }
-}
-
-/// `batch_fold_bounds_impl` compiled with AVX2 enabled.
-///
-/// # Safety
-/// The caller must have verified `avx2` support at runtime. The body is
-/// pure integer adds and absolute values over the same memory as the
-/// portable path, so results are identical; only the instruction
-/// selection changes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(unsafe_code)]
-unsafe fn batch_fold_bounds_avx2(
-    user_folds: &[i32],
-    zone_fold: &[i32],
-    lanes: usize,
-    bounds: &mut [i32],
-) {
-    batch_fold_bounds_impl(user_folds, zone_fold, lanes, bounds);
-}
-
-/// Accumulates quantized antipodal lower bounds for a whole batch of users
-/// against one zone, lane-wise.
-///
-/// `user_folds` is laid out structure-of-arrays, pair-major: lane `u` of
-/// pair `h` lives at `user_folds[h * lanes + u]`. `zone_fold` is the zone
-/// CDF's own [`antipodal_fold`]. For every lane,
-/// `bounds[u] += Σ_h |user_folds[h·lanes + u] − zone_fold[h]|` — a branch-
-/// free `i32` loop over contiguous memory with one scalar broadcast per
-/// pair, dispatched to an AVX2 build of itself when the CPU has it (the
-/// baseline x86-64 target the default build compiles for would otherwise
-/// leave the loop scalar). Integer arithmetic, so the dispatch cannot
-/// change a single bound. Callers zero `bounds` per zone.
-pub fn batch_fold_bounds(user_folds: &[i32], zone_fold: &[i32], lanes: usize, bounds: &mut [i32]) {
-    debug_assert_eq!(bounds.len(), lanes);
-    debug_assert_eq!(user_folds.len(), zone_fold.len() * lanes);
-    #[cfg(target_arch = "x86_64")]
-    if lanes >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: avx2 presence just checked.
-        #[allow(unsafe_code)]
-        unsafe {
-            batch_fold_bounds_avx2(user_folds, zone_fold, lanes, bounds)
-        };
-        return;
-    }
-    batch_fold_bounds_impl(user_folds, zone_fold, lanes, bounds);
 }
 
 /// Folds a CDF into its three quantized quad pairing-sums:
@@ -400,8 +326,8 @@ unsafe fn batch_min_argmin_avx2(row: &[i32], zone: u32, min: &mut [i32], argmin:
 /// holding the *smallest-indexed* zone attaining the minimal bound for
 /// lane `u` — exactly the first candidate the scalar scan's strict-`<`
 /// sweep selects. Strict `<` with ascending calls is what preserves the
-/// tie rule. Integer compare-and-select, AVX2-dispatched like
-/// [`batch_fold_bounds`].
+/// tie rule. Integer compare-and-select, AVX2/AVX-512-dispatched like
+/// [`batch_quad_bounds`].
 pub fn batch_min_argmin(row: &[i32], zone: u32, min: &mut [i32], argmin: &mut [u32]) {
     debug_assert_eq!(row.len(), min.len());
     debug_assert_eq!(row.len(), argmin.len());
@@ -629,32 +555,56 @@ mod tests {
         }
     }
 
+    /// Quad folds of `cdfs` laid out structure-of-arrays: lane `u` of fold
+    /// row `h` at `h * cdfs.len() + u`.
+    fn soa_quad_folds(cdfs: &[[f64; BINS]]) -> Vec<i32> {
+        let rows = 3 * BINS / 4;
+        let lanes = cdfs.len();
+        let mut soa = vec![0i32; rows * lanes];
+        let mut scratch = vec![0i32; rows];
+        for (u, cdf) in cdfs.iter().enumerate() {
+            quad_fold(cdf, &mut scratch);
+            for h in 0..rows {
+                soa[h * lanes + u] = scratch[h];
+            }
+        }
+        soa
+    }
+
     #[test]
     fn integer_bound_is_conservative_after_slack() {
         // Across a sweep of profile pairs, the slack-adjusted integer bound
         // never exceeds the exact circular EMD — the pruning soundness
-        // condition.
+        // condition. Every user CDF of the sweep rides one batch (20
+        // lanes, so the AVX2/AVX-512 builds run where the CPU has them)
+        // against every zone CDF.
+        let mut users = Vec::new();
+        let mut zones = Vec::new();
         for (a, b) in [(0u8, 12u8), (3, 4), (23, 0), (7, 7), (1, 18)] {
             for t in [0.0, 0.15, 0.5, 0.85] {
                 let (pc, qc) = cdf_pair(a, b, t);
-                let half = BINS / 2;
-                let mut fold_p = vec![0i32; half];
-                let mut fold_q = vec![0i32; half];
-                antipodal_fold(&pc, &mut fold_p);
-                antipodal_fold(&qc, &mut fold_q);
-                let mut bound = vec![0i32; 1];
-                // Single-lane batch: the SoA layout degenerates to the fold
-                // itself.
-                batch_fold_bounds(&fold_p, &fold_q, 1, &mut bound);
+                users.push(pc);
+                zones.push(qc);
+            }
+        }
+        let lanes = users.len();
+        assert!(lanes >= 16);
+        let soa = soa_quad_folds(&users);
+        let mut zone_fold = vec![0i32; 3 * BINS / 4];
+        for (z, qc) in zones.iter().enumerate() {
+            quad_fold(qc, &mut zone_fold);
+            let mut bounds = vec![0i32; lanes];
+            batch_quad_bounds(&soa, &zone_fold, lanes, &mut bounds);
+            for (u, pc) in users.iter().enumerate() {
                 let mut diffs = vec![0.0_f64; BINS];
                 for h in 0..BINS {
                     diffs[h] = pc[h] - qc[h];
                 }
                 let exact = circular_emd_of_cdf_diff_scratch(&mut diffs);
-                let adjusted = f64::from(bound[0] - prune_slack(BINS)) / CDF_FIXED_SCALE;
+                let adjusted = f64::from(bounds[u] - prune_slack(BINS)) / CDF_FIXED_SCALE;
                 assert!(
                     adjusted <= exact,
-                    "integer bound {adjusted} exceeds exact {exact} for ({a},{b},{t})"
+                    "integer bound {adjusted} exceeds exact {exact} for user {u}, zone {z}"
                 );
             }
         }
@@ -662,34 +612,27 @@ mod tests {
 
     #[test]
     fn batch_layout_matches_per_lane_folds() {
-        // Three users interleaved SoA must produce the same bounds as three
-        // independent single-lane calls.
-        let users = [
-            cdf_pair(2, 9, 0.2).0,
-            cdf_pair(5, 1, 0.4).0,
-            cdf_pair(20, 3, 0.7).0,
-        ];
+        // Nineteen users interleaved SoA (past the 16-lane AVX-512 and
+        // 8-lane AVX2 thresholds, with a ragged tail) must produce the
+        // same bounds as nineteen independent single-lane calls.
+        let users: Vec<[f64; BINS]> = (0..19u8)
+            .map(|i| cdf_pair(i, (i * 7) % 24, f64::from(i) / 20.0).0)
+            .collect();
         let (_, zone) = cdf_pair(8, 8, 0.35);
-        let half = BINS / 2;
+        let rows = 3 * BINS / 4;
         let lanes = users.len();
-        let mut zone_fold = vec![0i32; half];
-        antipodal_fold(&zone, &mut zone_fold);
+        let mut zone_fold = vec![0i32; rows];
+        quad_fold(&zone, &mut zone_fold);
 
-        let mut soa = vec![0i32; half * lanes];
-        let mut scratch = vec![0i32; half];
-        for (u, cdf) in users.iter().enumerate() {
-            antipodal_fold(cdf, &mut scratch);
-            for h in 0..half {
-                soa[h * lanes + u] = scratch[h];
-            }
-        }
+        let soa = soa_quad_folds(&users);
         let mut batch_bounds = vec![0i32; lanes];
-        batch_fold_bounds(&soa, &zone_fold, lanes, &mut batch_bounds);
+        batch_quad_bounds(&soa, &zone_fold, lanes, &mut batch_bounds);
 
+        let mut scratch = vec![0i32; rows];
         for (u, cdf) in users.iter().enumerate() {
-            antipodal_fold(cdf, &mut scratch);
+            quad_fold(cdf, &mut scratch);
             let mut single = vec![0i32; 1];
-            batch_fold_bounds(&scratch, &zone_fold, 1, &mut single);
+            batch_quad_bounds(&scratch, &zone_fold, 1, &mut single);
             assert_eq!(batch_bounds[u], single[0], "lane {u}");
         }
     }

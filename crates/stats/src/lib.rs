@@ -55,9 +55,8 @@ pub use gmm::{
     SelectionCriterion,
 };
 pub use kernel::{
-    antipodal_fold, batch_fold_bounds, batch_min_argmin, batch_quad_bounds,
-    circular_emd_lower_bound_slice, circular_emd_of_cdf_diff_scratch,
-    circular_emd_quad_lower_bound_slice, prune_slack, quad_fold, quantize_cdf, SortNetwork,
-    CDF_FIXED_SCALE, EMD_LANES,
+    batch_min_argmin, batch_quad_bounds, circular_emd_lower_bound_slice,
+    circular_emd_of_cdf_diff_scratch, circular_emd_quad_lower_bound_slice, prune_slack, quad_fold,
+    quantize_cdf, SortNetwork, CDF_FIXED_SCALE, EMD_LANES,
 };
 pub use pearson::{pearson, pearson_matrix};

@@ -3,9 +3,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -18,6 +17,13 @@ use crate::relay::{Relay, RelayFlags, RelayId};
 
 /// A fault plan shared between the network and all channels built on it.
 type SharedFaultPlan = Arc<Mutex<FaultPlan>>;
+
+/// Locks a mutex with the workspace poisoning policy: every value behind
+/// these locks is updated whole by each holder, so a panicked former
+/// holder is survivable.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Observability handles for fault injection, cloned into every channel
 /// built on the network. Counts are recorded out-of-band: no simulation
@@ -186,16 +192,15 @@ impl TorNetwork {
     pub fn force_fault(&self, fault: Fault) {
         self.fault_plan
             .as_ref()
-            .expect("force_fault called with no fault plan attached")
-            .lock()
-            .force(fault);
+            .map(|plan| relock(plan).force(fault))
+            .expect("force_fault called with no fault plan attached");
     }
 
     /// Total faults injected by the attached plan, if any.
     pub fn faults_injected(&self) -> u64 {
         self.fault_plan
             .as_ref()
-            .map_or(0, |plan| plan.lock().injected())
+            .map_or(0, |plan| relock(plan).injected())
     }
 
     /// Number of published hidden services.
@@ -407,7 +412,7 @@ impl AnonymousChannel {
         let fault = self
             .faults
             .as_ref()
-            .and_then(|plan| plan.lock().next_fault());
+            .and_then(|plan| relock(plan).next_fault());
         if let (Some(obs), Some(f)) = (&self.obs, fault) {
             obs.record(f);
         }
@@ -429,7 +434,7 @@ impl AnonymousChannel {
                 let waited_ms = self
                     .faults
                     .as_ref()
-                    .map_or(0, |plan| plan.lock().timeout_ms());
+                    .map_or(0, |plan| relock(plan).timeout_ms());
                 Err(TorError::RequestTimeout { waited_ms })
             }
             Some(Fault::ServiceHiccup) => Err(TorError::ServiceUnavailable {
@@ -438,14 +443,14 @@ impl AnonymousChannel {
             Some(Fault::TruncateResponse) => {
                 let mut response = (self.handler)(payload);
                 if let Some(plan) = self.faults.as_ref() {
-                    plan.lock().truncate(&mut response);
+                    relock(plan).truncate(&mut response);
                 }
                 Ok(response)
             }
             Some(Fault::CorruptResponse) => {
                 let mut response = (self.handler)(payload);
                 if let Some(plan) = self.faults.as_ref() {
-                    plan.lock().corrupt(&mut response);
+                    relock(plan).corrupt(&mut response);
                 }
                 Ok(response)
             }

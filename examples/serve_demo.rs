@@ -13,7 +13,9 @@
 //! byte-identical to what an in-process engine publishes after the same
 //! deltas.
 
-use crowdtz::core::{ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline, ZoneGrid};
+use crowdtz::core::{
+    Batch, ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline, ZoneGrid,
+};
 use crowdtz::serve::{serve, HttpClient, ServeConfig};
 use crowdtz::time::Timestamp;
 use rand::rngs::StdRng;
@@ -138,7 +140,11 @@ fn main() {
     );
     let writer = engine.writer();
     for (user, posts) in &deltas {
-        writer.ingest(user, posts).expect("in-process ingest");
+        let batch = Batch {
+            ingest: &[(user.as_str(), posts.as_slice())],
+            ..Batch::default()
+        };
+        writer.apply(&batch).expect("in-process ingest");
     }
     let local = engine.publish().expect("in-process publish");
     let local_bytes = serde_json::to_vec(local.report()).expect("serialize");

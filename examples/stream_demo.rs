@@ -13,9 +13,10 @@
 //! and an incremental snapshot that re-places only the dirty users. The
 //! reports are byte-identical every round; only the wall-clock differs.
 //!
-//! With `--durable DIR` the demo runs the crash-safe engine instead:
-//! every round is one sequence-numbered batch in `DIR`'s write-ahead
-//! log, and the final report lands in `DIR/final_report.json`. Because
+//! With `--durable DIR` the demo runs the crash-safe engine instead
+//! (a durable [`ConcurrentStreamingPipeline`]): every round is one
+//! sequence-numbered [`Batch`] in `DIR`'s write-ahead log, and the
+//! final report lands in `DIR/final_report.json`. Because
 //! the workload is derived deterministically from the seed, re-running
 //! the same command after a kill resumes from the recovered state and
 //! produces a byte-identical final report — `--crash-after R` aborts
@@ -24,7 +25,10 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use crowdtz::core::{GenericProfile, GeolocationPipeline, StreamingPipeline};
+use crowdtz::core::{
+    Batch, ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline, IngestWriter,
+    StreamingPipeline,
+};
 use crowdtz::time::{Timestamp, TraceSet, UserTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,7 +68,24 @@ fn synthesize(users: usize, seed: u64) -> TraceSet {
     out
 }
 
-/// The durable path: every round is one `ingest_batch` into the
+/// Applies single-post observations as one sequenced [`Batch`] whose
+/// checkpoint travels in the same log record; `false` when the batch was
+/// already durable (a restart re-delivering it).
+fn apply(writer: &IngestWriter, seq: u64, posts: &[(String, Timestamp)], checkpoint: &str) -> bool {
+    let ingest: Vec<(&str, &[Timestamp])> = posts
+        .iter()
+        .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)))
+        .collect();
+    let batch = Batch {
+        ingest: &ingest,
+        source_seq: seq,
+        checkpoint: Some(checkpoint),
+        ..Batch::default()
+    };
+    writer.apply(&batch).expect("apply batch")
+}
+
+/// The durable path: every round is one sequenced batch into the
 /// write-ahead log under `dir`. The workload (primer crowd + per-round
 /// deltas) is a pure function of the seeds, so a killed run re-invoked
 /// with the same arguments regenerates the same batches, the recovery
@@ -75,8 +96,9 @@ fn durable_run(users: usize, rounds: usize, dir: PathBuf, crash_after: Option<u6
     println!("synthesizing {users} users (60% UTC+9, 40% UTC-3)…");
     let cumulative = synthesize(users, 42);
 
-    let mut engine = StreamingPipeline::open_durable(GeolocationPipeline::default(), &dir)
+    let engine = ConcurrentStreamingPipeline::open_durable(GeolocationPipeline::default(), &dir)
         .expect("open durable engine");
+    let writer = engine.writer();
     let recovered = engine.last_source_seq();
     if recovered > 0 {
         println!("warm restart: recovered through batch {recovered}, resuming…");
@@ -87,10 +109,7 @@ fn durable_run(users: usize, rounds: usize, dir: PathBuf, crash_after: Option<u6
         .iter()
         .flat_map(|t| t.posts().iter().map(|&ts| (t.id().to_owned(), ts)))
         .collect();
-    if engine
-        .ingest_batch(1, &primer, Some("primed"))
-        .expect("ingest primer")
-    {
+    if apply(&writer, 1, &primer, "primed") {
         println!("primed the engine with {} posts (batch 1)…", primer.len());
         // Fold the primer into a snapshot generation immediately so a
         // crash never replays the whole crowd from the log.
@@ -112,17 +131,16 @@ fn durable_run(users: usize, rounds: usize, dir: PathBuf, crash_after: Option<u6
             })
             .collect();
         let ckpt = format!("round-{round}");
-        let applied = engine
-            .ingest_batch(1 + round, &batch, Some(&ckpt))
-            .expect("ingest round");
+        let applied = apply(&writer, 1 + round, &batch, &ckpt);
         if applied && Some(round) == crash_after {
             println!("crashing after round {round} (no orderly shutdown)…");
             std::process::abort();
         }
     }
 
-    let report = engine.snapshot().expect("final snapshot");
-    let json = serde_json::to_string(&report).expect("serialize report");
+    let published = engine.publish().expect("final publish");
+    let report = published.report();
+    let json = serde_json::to_string(report).expect("serialize report");
     let out = dir.join("final_report.json");
     std::fs::write(&out, &json).expect("write final report");
     println!(
@@ -131,8 +149,7 @@ fn durable_run(users: usize, rounds: usize, dir: PathBuf, crash_after: Option<u6
         report.flat_removed()
     );
     println!(
-        "log: {} bytes after {} batches; final report written to {}",
-        engine.store().log_len(),
+        "{} batches durable; final report written to {}",
         engine.last_source_seq(),
         out.display()
     );

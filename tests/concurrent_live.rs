@@ -51,7 +51,11 @@ fn concurrent_fleet_matches_sequential_replay() {
     let mut reference = StreamingPipeline::new(pipeline());
     for monitor in &mut fleet() {
         monitor
-            .run_batched(from, to, interval, |batch| reference.ingest_posts(batch))
+            .run_batched(from, to, interval, |batch| {
+                for (user, ts) in batch {
+                    reference.ingest(user, std::slice::from_ref(ts));
+                }
+            })
             .unwrap();
     }
     let want = serde_json::to_string(&reference.snapshot().unwrap()).unwrap();
@@ -121,7 +125,11 @@ fn snapshots_during_a_live_run_are_never_torn() {
     let mut reference = StreamingPipeline::new(pipeline());
     for monitor in &mut fleet() {
         monitor
-            .run_batched(from, to, interval, |batch| reference.ingest_posts(batch))
+            .run_batched(from, to, interval, |batch| {
+                for (user, ts) in batch {
+                    reference.ingest(user, std::slice::from_ref(ts));
+                }
+            })
             .unwrap();
     }
     let want = serde_json::to_string(&reference.snapshot().unwrap()).unwrap();

@@ -2,9 +2,9 @@
 //! streaming engine survives a mid-run kill.
 //!
 //! The pairing under test (ISSUE 6): `Monitor::resume_run_batched`
-//! delivers each poll as a sequence-numbered batch, and
-//! `DurableStreamingPipeline::ingest_batch` persists the batch *and*
-//! the monitor checkpoint in one log record. Killing the process at any
+//! delivers each poll as a sequence-numbered batch, and a durable
+//! `IngestWriter::apply` persists the batch *and* the monitor checkpoint
+//! in one log record. Killing the process at any
 //! batch boundary and restarting from the recovered checkpoint — even a
 //! stale one — must end with a snapshot byte-identical to a session
 //! that was never killed, with the boundary batch deduped by sequence
@@ -12,7 +12,9 @@
 
 use std::path::PathBuf;
 
-use crowdtz::core::{GeolocationPipeline, StreamingPipeline};
+use crowdtz::core::{
+    Batch, ConcurrentStreamingPipeline, GeolocationPipeline, IngestWriter, StreamingPipeline,
+};
 use crowdtz::forum::{
     CrowdComponent, ForumHost, ForumSpec, Monitor, MonitorCheckpoint, TimestampPolicy,
 };
@@ -55,6 +57,33 @@ fn pipeline() -> GeolocationPipeline {
     GeolocationPipeline::default().min_posts(1)
 }
 
+/// One monitor poll as a sequenced [`Batch`], the serialized checkpoint
+/// in the same log record; `false` when the sequence number was
+/// already applied.
+fn apply(writer: &IngestWriter, seq: u64, posts: &[(String, Timestamp)], checkpoint: &str) -> bool {
+    let ingest: Vec<(&str, &[Timestamp])> = posts
+        .iter()
+        .map(|(user, ts)| (user.as_str(), std::slice::from_ref(ts)))
+        .collect();
+    let batch = Batch {
+        ingest: &ingest,
+        source_seq: seq,
+        checkpoint: Some(checkpoint),
+        ..Batch::default()
+    };
+    writer.apply(&batch).unwrap()
+}
+
+fn ingest_posts(engine: &mut StreamingPipeline, posts: &[(String, Timestamp)]) {
+    for (user, ts) in posts {
+        engine.ingest(user, std::slice::from_ref(ts));
+    }
+}
+
+fn published_json(engine: &ConcurrentStreamingPipeline) -> String {
+    serde_json::to_string(engine.publish().unwrap().report()).unwrap()
+}
+
 fn report_json(engine: &mut StreamingPipeline) -> String {
     serde_json::to_string(&engine.snapshot().expect("snapshot")).unwrap()
 }
@@ -68,7 +97,7 @@ fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
     let mut total_batches = 0u64;
     fresh_monitor()
         .resume_run_batched(from, to, interval, MonitorCheckpoint::start(), |_, b, _| {
-            reference.ingest_posts(b);
+            ingest_posts(&mut reference, b);
             total_batches += 1;
             true
         })
@@ -82,10 +111,11 @@ fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
     // Run 1: feed the durable engine, storing the serialized monitor
     // checkpoint transactionally with every batch, and "die" at a batch
     // boundary mid-window (drop with no orderly shutdown — the
-    // write-ahead log is the only thing that survives).
+    // write-ahead log and the snapshot generations rotated after every
+    // batch are the only things that survive).
     {
-        let mut engine = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
-        engine.snapshot_every_bytes(4096);
+        let engine = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+        let writer = engine.writer();
         fresh_monitor()
             .resume_run_batched(
                 from,
@@ -94,7 +124,8 @@ fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
                 MonitorCheckpoint::start(),
                 |seq, b, cp| {
                     let blob = serde_json::to_string(cp).unwrap();
-                    assert!(engine.ingest_batch(seq, b, Some(&blob)).unwrap());
+                    assert!(apply(&writer, seq, b, &blob));
+                    engine.checkpoint_now().unwrap();
                     seq < kill_after
                 },
             )
@@ -104,25 +135,26 @@ fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
 
     // Run 2 ("the restart"): recover the engine, resume the monitor from
     // the checkpoint the recovery hands back.
-    let mut engine = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+    let engine = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+    let writer = engine.writer();
     assert_eq!(
         engine.last_source_seq(),
         kill_after,
         "warm restart lost batches"
     );
     let cp: MonitorCheckpoint =
-        serde_json::from_str(engine.source_checkpoint().expect("recovered checkpoint")).unwrap();
+        serde_json::from_str(&engine.source_checkpoint().expect("recovered checkpoint")).unwrap();
     assert_eq!(cp.batch_seq(), kill_after);
     fresh_monitor()
         .resume_run_batched(from, to, interval, cp, |seq, b, after| {
             let blob = serde_json::to_string(after).unwrap();
-            assert!(engine.ingest_batch(seq, b, Some(&blob)).unwrap());
+            assert!(apply(&writer, seq, b, &blob));
             true
         })
         .unwrap();
     assert_eq!(engine.last_source_seq(), total_batches);
     assert_eq!(
-        serde_json::to_string(&engine.snapshot().unwrap()).unwrap(),
+        published_json(&engine),
         want,
         "kill/restart diverged from the uninterrupted session"
     );
@@ -142,7 +174,7 @@ fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
             interval,
             MonitorCheckpoint::start(),
             |_, b, cp| {
-                reference.ingest_posts(b);
+                ingest_posts(&mut reference, b);
                 checkpoints.push(cp.clone());
                 true
             },
@@ -154,7 +186,8 @@ fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
 
     let dir = tmp_dir("stale-restart");
     {
-        let mut engine = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+        let engine = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+        let writer = engine.writer();
         fresh_monitor()
             .resume_run_batched(
                 from,
@@ -163,7 +196,7 @@ fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
                 MonitorCheckpoint::start(),
                 |seq, b, cp| {
                     let blob = serde_json::to_string(cp).unwrap();
-                    assert!(engine.ingest_batch(seq, b, Some(&blob)).unwrap());
+                    assert!(apply(&writer, seq, b, &blob));
                     seq < boundary
                 },
             )
@@ -174,14 +207,15 @@ fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
     // state — the worst-case restart gap. The monitor re-delivers the
     // boundary batch with its original sequence number; the engine must
     // drop it (`Ok(false)`), not double-count it.
-    let mut engine = StreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+    let engine = ConcurrentStreamingPipeline::open_durable(pipeline(), &dir).unwrap();
+    let writer = engine.writer();
     assert_eq!(engine.last_source_seq(), boundary);
     let stale = checkpoints[boundary as usize - 2].clone();
     let mut deduped = 0u32;
     fresh_monitor()
         .resume_run_batched(from, to, interval, stale, |seq, b, after| {
             let blob = serde_json::to_string(after).unwrap();
-            if !engine.ingest_batch(seq, b, Some(&blob)).unwrap() {
+            if !apply(&writer, seq, b, &blob) {
                 deduped += 1;
                 assert_eq!(seq, boundary, "only the boundary batch may dedupe");
             }
@@ -190,7 +224,7 @@ fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
         .unwrap();
     assert_eq!(deduped, 1, "boundary batch was not re-delivered/deduped");
     assert_eq!(
-        serde_json::to_string(&engine.snapshot().unwrap()).unwrap(),
+        published_json(&engine),
         want,
         "stale-checkpoint restart double-counted or lost observations"
     );

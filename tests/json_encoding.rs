@@ -9,7 +9,10 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crowdtz::core::{GeolocationPipeline, GeolocationReport, StreamingPipeline, ZoneGrid};
+use crowdtz::core::{
+    ConcurrentStreamingPipeline, GeolocationPipeline, GeolocationReport, StreamingPipeline,
+    ZoneGrid,
+};
 use crowdtz::synth::PopulationSpec;
 use crowdtz::time::{RegionDb, Timestamp, TraceSet, UserTrace};
 use proptest::prelude::*;
@@ -152,6 +155,10 @@ fn streaming_snapshot_bytes_equal_batch_report_bytes() {
     }
 }
 
+fn refs(posts: &[(String, Timestamp)]) -> Vec<(&str, Timestamp)> {
+    posts.iter().map(|(u, t)| (u.as_str(), *t)).collect()
+}
+
 /// Log records with and without retractions, replayed after a restart
 /// with no checkpoint, rebuild the same report bytes as an in-memory
 /// engine fed the same deltas — escaped user names included.
@@ -174,21 +181,31 @@ fn durable_replay_keeps_report_bytes_with_and_without_retractions() {
         .collect();
 
     let mut reference = StreamingPipeline::new(pipeline(ZoneGrid::Hourly));
-    reference.ingest_posts(&posts);
-    reference.retract_posts(&retracted);
+    for (user, ts) in &posts {
+        reference.ingest(user, std::slice::from_ref(ts));
+    }
+    for (user, ts) in &retracted {
+        reference.retract(user, std::slice::from_ref(ts));
+    }
     let want = compact(&reference.snapshot().unwrap());
 
     let dir = tmp_dir("replay");
     {
-        let mut engine = StreamingPipeline::open_durable(pipeline(ZoneGrid::Hourly), &dir).unwrap();
-        engine.ingest_posts(&posts).unwrap();
-        engine.retract_posts(&retracted).unwrap();
+        let engine =
+            ConcurrentStreamingPipeline::open_durable(pipeline(ZoneGrid::Hourly), &dir).unwrap();
+        let writer = engine.writer();
+        writer.ingest_posts_ref(&refs(&posts)).unwrap();
+        writer.retract_posts_ref(&refs(&retracted)).unwrap();
         assert!(
-            compact(&engine.snapshot().unwrap()) == want,
+            compact(engine.publish().unwrap().report()) == want,
             "before restart"
         );
     }
-    let mut engine = StreamingPipeline::open_durable(pipeline(ZoneGrid::Hourly), &dir).unwrap();
-    assert!(compact(&engine.snapshot().unwrap()) == want, "after replay");
+    let engine =
+        ConcurrentStreamingPipeline::open_durable(pipeline(ZoneGrid::Hourly), &dir).unwrap();
+    assert!(
+        compact(engine.publish().unwrap().report()) == want,
+        "after replay"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

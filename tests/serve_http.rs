@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use crowdtz::core::{ConcurrentStreamingPipeline, GeolocationPipeline, ZoneGrid};
+use crowdtz::core::{Batch, ConcurrentStreamingPipeline, GeolocationPipeline, ZoneGrid};
 use crowdtz::serve::{serve, HttpClient, ServeConfig, ServerHandle, ServiceConfig};
 use crowdtz::time::Timestamp;
 use rand::rngs::StdRng;
@@ -84,7 +84,11 @@ fn in_process_reference(grid: ZoneGrid, deltas: &[(String, Vec<Timestamp>)]) -> 
     );
     let writer = engine.writer();
     for (user, posts) in deltas {
-        writer.ingest(user, posts).expect("reference ingest");
+        let batch = Batch {
+            ingest: &[(user.as_str(), posts.as_slice())],
+            ..Batch::default()
+        };
+        writer.apply(&batch).expect("reference ingest");
     }
     let published = engine.publish().expect("reference publish");
     serde_json::to_vec(published.report()).expect("serialize reference")
