@@ -118,6 +118,19 @@ const LOCK_WAIT_BOUNDS: &[u64] = &[
     1_000_000_000,
 ];
 
+/// Bucket bounds for the `ingest.publish_ns` histogram: nanoseconds a
+/// publish held the write gate, from a refresh with nothing dirty to a
+/// priming publish over a large crowd.
+const PUBLISH_BOUNDS: &[u64] = &[
+    100_000,
+    1_000_000,
+    3_000_000,
+    10_000_000,
+    30_000_000,
+    100_000_000,
+    1_000_000_000,
+];
+
 /// Reacquire helpers with the workspace poisoning policy: all state
 /// behind these locks is either plain data updated batch-atomically or
 /// re-derivable, so a panicked former holder is survivable.
@@ -146,6 +159,8 @@ struct ConcurrentObs {
     batches: crowdtz_obs::Counter,
     /// `ingest.publishes`: reports published through the cell.
     publishes: crowdtz_obs::Counter,
+    /// `ingest.publish_ns`: write-gate hold of each successful publish.
+    publish_ns: crowdtz_obs::Histogram,
     /// `ingest.writers`: currently registered [`IngestWriter`] handles.
     writers: crowdtz_obs::Gauge,
 }
@@ -160,6 +175,7 @@ impl ConcurrentObs {
             gate_contention: observer.counter("ingest.gate_contention"),
             batches: observer.counter("ingest.batches"),
             publishes: observer.counter("ingest.publishes"),
+            publish_ns: observer.histogram("ingest.publish_ns", PUBLISH_BOUNDS),
             writers: observer.gauge("ingest.writers"),
         }
     }
@@ -508,6 +524,7 @@ impl ConcurrentStreamingPipeline {
     ///   `(0, 1]`, plus everything [`publish`](Self::publish) returns.
     pub fn publish_with_coverage(&self, coverage: f64) -> Result<Arc<PublishedReport>, CoreError> {
         let mut guard = write_gate(&self.shared.gate);
+        let held = self.shared.obs.as_ref().map(|_| Instant::now());
         // Under the write gate no watermark can move (bumps happen under
         // a read hold), so this vector is the exact cut.
         let watermarks: Vec<u64> = relock(&self.shared.writers)
@@ -532,8 +549,11 @@ impl ConcurrentStreamingPipeline {
             posts_ingested,
         });
         self.shared.cell.install(Arc::clone(&published));
-        if let Some(obs) = &self.shared.obs {
+        drop(guard);
+        if let (Some(obs), Some(t0)) = (&self.shared.obs, held) {
             obs.publishes.inc();
+            obs.publish_ns
+                .observe(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
         Ok(published)
     }

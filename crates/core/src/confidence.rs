@@ -68,8 +68,8 @@ fn circular_distance(a: f64, b: f64) -> f64 {
 ///
 /// Propagates fitting errors; returns [`StatsError::NotEnoughData`] for an
 /// empty placement list.
-pub fn bootstrap_components(
-    placements: &[UserPlacement],
+pub fn bootstrap_components<'a>(
+    placements: impl IntoIterator<Item = &'a UserPlacement>,
     config: &BootstrapConfig,
 ) -> Result<Vec<ComponentConfidence>, StatsError> {
     bootstrap_components_threads(placements, config, crate::engine::default_threads())
@@ -87,7 +87,7 @@ pub fn bootstrap_components(
 ///
 /// Each resample draws from its own RNG seeded as
 /// `config.seed ^ resample_index`, resamples **indices** into the shared
-/// placement slice (no `UserPlacement` clones), and builds its histogram
+/// placement list (no `UserPlacement` clones), and builds its histogram
 /// straight from the sampled zone indices. Per-resample results are
 /// reduced in resample order (contiguous chunks, concatenated in chunk
 /// order), so the output is byte-identical for any thread count,
@@ -97,15 +97,16 @@ pub fn bootstrap_components(
 ///
 /// Propagates fitting errors; returns [`StatsError::NotEnoughData`] for an
 /// empty placement list.
-pub fn bootstrap_components_threads(
-    placements: &[UserPlacement],
+pub fn bootstrap_components_threads<'a>(
+    placements: impl IntoIterator<Item = &'a UserPlacement>,
     config: &BootstrapConfig,
     threads: usize,
 ) -> Result<Vec<ComponentConfidence>, StatsError> {
+    let placements: Vec<&UserPlacement> = placements.into_iter().collect();
     if placements.is_empty() {
         return Err(StatsError::NotEnoughData { got: 0, needed: 1 });
     }
-    let reference_hist = PlacementHistogram::from_placements(placements);
+    let reference_hist = PlacementHistogram::from_placements(placements.iter().copied());
     let reference = MultiRegionFit::fit(&reference_hist, 4)?;
     let k = reference.mixture().len();
     let ref_means: Vec<(f64, f64)> = reference
@@ -119,7 +120,7 @@ pub fn bootstrap_components_threads(
     // flat byte array, never the heap-backed placement records. The grid
     // is the coarsest one covering every placement, matching the
     // reference histogram built by `from_placements` above.
-    let grid = crate::placement::ZoneGrid::covering(placements.iter());
+    let grid = crate::placement::ZoneGrid::covering(placements.iter().copied());
     let zone_indices: Vec<u8> = placements
         .iter()
         .map(|p| grid.index_of_minutes(p.offset_minutes()) as u8)

@@ -18,24 +18,31 @@ pub struct CrowdProfile {
 }
 
 impl CrowdProfile {
-    /// Aggregates user profiles into a crowd profile.
+    /// Aggregates user profiles into a crowd profile — a slice, a `Vec`
+    /// or a report's [`Rows`](crate::Rows). The bins are summed in the
+    /// order given, so the same profiles in the same order give the same
+    /// bits whatever holds them.
     ///
     /// # Errors
     ///
-    /// Returns [`StatsError::NotEnoughData`] for an empty slice.
-    pub fn aggregate(profiles: &[ActivityProfile]) -> Result<CrowdProfile, StatsError> {
-        if profiles.is_empty() {
-            return Err(StatsError::NotEnoughData { got: 0, needed: 1 });
-        }
+    /// Returns [`StatsError::NotEnoughData`] when there are no profiles.
+    pub fn aggregate<'a>(
+        profiles: impl IntoIterator<Item = &'a ActivityProfile>,
+    ) -> Result<CrowdProfile, StatsError> {
         let mut sum = [0.0_f64; BINS];
+        let mut members = 0usize;
         for p in profiles {
             for (dst, &v) in sum.iter_mut().zip(p.distribution().as_slice()) {
                 *dst += v;
             }
+            members += 1;
+        }
+        if members == 0 {
+            return Err(StatsError::NotEnoughData { got: 0, needed: 1 });
         }
         Ok(CrowdProfile {
             distribution: Distribution24::from_weights(&sum)?,
-            members: profiles.len(),
+            members,
         })
     }
 

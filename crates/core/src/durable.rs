@@ -29,6 +29,7 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use crowdtz_stats::{Histogram24, BINS};
 use crowdtz_store::{DurableStore, StoreError, Vfs};
@@ -371,14 +372,14 @@ fn rebuild_accumulator(user: &UserSnap) -> Result<UserAccumulator, CoreError> {
                 .normalized()
                 .map_err(|e| codec_err("snapshot analysis with empty activity", e))?;
             let profile = ActivityProfile::from_parts(
-                user.id.clone(),
+                user.id.as_str().into(),
                 distribution,
                 user.slots.len(),
                 user.posts as usize,
             );
             let placement = a.placed.then(|| {
                 UserPlacement::from_offset_minutes(
-                    profile.user(),
+                    Arc::clone(profile.shared_user()),
                     a.offset_minutes,
                     f64::from_bits(a.emd_bits),
                 )

@@ -54,6 +54,7 @@
 //! (see `DESIGN.md` §9 and §14).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crowdtz_stats::{
     batch_min_argmin, batch_quad_bounds, circular_emd_of_cdf_diff_scratch, prune_slack, quad_fold,
@@ -729,7 +730,7 @@ impl PlacementEngine {
     /// fractional offset (see [`UserPlacement::offset_minutes`]).
     pub fn place(&self, profile: &ActivityProfile) -> UserPlacement {
         let (minutes, emd) = self.place_cdf_minutes(&profile.distribution().cdf());
-        UserPlacement::from_offset_minutes(profile.user(), minutes, emd)
+        UserPlacement::from_offset_minutes(Arc::clone(profile.shared_user()), minutes, emd)
     }
 
     /// The SoA batch kernel: resolves up to [`BATCH_USERS`] 24-bin CDFs
@@ -1018,7 +1019,7 @@ impl PlacementEngine {
             .zip(outcomes)
             .map(|(p, o)| {
                 UserPlacement::from_offset_minutes(
-                    p.user(),
+                    Arc::clone(p.shared_user()),
                     o.resolved.zone_minutes,
                     o.resolved.emd,
                 )
@@ -1060,7 +1061,7 @@ impl PlacementEngine {
                 prunes.add(u64::from(o.batch_prunes));
                 per_user.observe(u64::from(o.exact_evals));
                 UserPlacement::from_offset_minutes(
-                    p.user(),
+                    Arc::clone(p.shared_user()),
                     o.resolved.zone_minutes,
                     o.resolved.emd,
                 )

@@ -76,6 +76,7 @@ mod pipeline;
 mod placement;
 pub mod polish;
 mod profile;
+mod rows;
 mod shard;
 mod single;
 mod streaming;
@@ -95,6 +96,7 @@ pub use placement::{
     place_distribution, place_user, PlacementHistogram, UserPlacement, ZoneGrid, ZONE_COUNT,
 };
 pub use profile::{ActivityProfile, ProfileBuilder};
+pub use rows::{Rows, RowsIter};
 pub use shard::default_shards;
 pub use single::{MultiRegionFit, SingleRegionFit, SIGMA_INIT};
 pub use streaming::{RefitMode, StreamingPipeline};

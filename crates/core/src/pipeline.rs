@@ -15,6 +15,7 @@ use crate::error::CoreError;
 use crate::generic::GenericProfile;
 use crate::placement::{PlacementHistogram, UserPlacement, ZoneGrid};
 use crate::profile::ActivityProfile;
+use crate::rows::Rows;
 use crate::shard::default_shards;
 use crate::single::{MultiRegionFit, SingleRegionFit};
 use crate::streaming::StreamingPipeline;
@@ -298,15 +299,15 @@ impl GeolocationPipeline {
         };
         let (profiles, placements, flat_removed) = {
             let _s = crowdtz_obs::span!(obs, "pipeline.polish");
-            let mut kept = Vec::with_capacity(profiles.len());
-            let mut placements = Vec::with_capacity(profiles.len());
+            let mut kept = Rows::new();
+            let mut placements = Rows::new();
             let mut flat_removed = 0usize;
             for (profile, r) in profiles.into_iter().zip(resolved) {
                 if self.polish && r.flat {
                     flat_removed += 1;
                 } else {
                     placements.push(UserPlacement::from_offset_minutes(
-                        profile.user(),
+                        Arc::clone(profile.shared_user()),
                         r.zone_minutes,
                         r.emd,
                     ));
@@ -340,10 +341,10 @@ impl GeolocationPipeline {
             obs.counter("pipeline.analyses").inc();
         }
         Ok(GeolocationReport {
-            profiles: Arc::new(profiles),
+            profiles,
             flat_removed,
             crowd,
-            placements: Arc::new(placements),
+            placements,
             histogram,
             single,
             multi,
@@ -383,17 +384,17 @@ impl Default for GeolocationPipeline {
 /// Serializable — the streaming identity tests compare incremental and
 /// batch reports byte-for-byte through `serde_json`.
 ///
-/// The per-user vectors are behind [`Arc`]: a report is an immutable
-/// snapshot, so the streaming pipeline can hand out successive reports
-/// that share their unchanged profile/placement storage instead of deep-
-/// copying ~n users per snapshot. (An `Arc` serializes exactly like its
-/// contents, so the byte-identity guarantee is unaffected.)
+/// The per-user profiles and placements are [`Rows`]: a report is an
+/// immutable snapshot, so successive streaming reports share every
+/// chunk of rows no dirty user touched instead of deep-copying ~n users
+/// per snapshot. (`Rows` serializes as a plain JSON array, so the
+/// byte-identity guarantee is unaffected.)
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct GeolocationReport {
-    profiles: Arc<Vec<ActivityProfile>>,
+    profiles: Rows<ActivityProfile>,
     flat_removed: usize,
     crowd: CrowdProfile,
-    placements: Arc<Vec<UserPlacement>>,
+    placements: Rows<UserPlacement>,
     histogram: PlacementHistogram,
     single: SingleRegionFit,
     multi: MultiRegionFit,
@@ -406,10 +407,10 @@ impl GeolocationReport {
     /// pipeline, whose snapshots must be byte-identical to batch reports.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        profiles: Arc<Vec<ActivityProfile>>,
+        profiles: Rows<ActivityProfile>,
         flat_removed: usize,
         crowd: CrowdProfile,
-        placements: Arc<Vec<UserPlacement>>,
+        placements: Rows<UserPlacement>,
         histogram: PlacementHistogram,
         single: SingleRegionFit,
         multi: MultiRegionFit,
@@ -429,8 +430,8 @@ impl GeolocationReport {
         }
     }
 
-    /// The per-user profiles that entered the analysis.
-    pub fn profiles(&self) -> &[ActivityProfile] {
+    /// The per-user profiles that entered the analysis, in user-id order.
+    pub fn profiles(&self) -> &Rows<ActivityProfile> {
         &self.profiles
     }
 
@@ -454,8 +455,8 @@ impl GeolocationReport {
         &self.crowd
     }
 
-    /// Per-user placements.
-    pub fn placements(&self) -> &[UserPlacement] {
+    /// Per-user placements, parallel to [`profiles`](Self::profiles).
+    pub fn placements(&self) -> &Rows<UserPlacement> {
         &self.placements
     }
 

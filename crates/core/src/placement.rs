@@ -1,6 +1,7 @@
 //! EMD-based placement of users into time zones — §IV.A.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -124,7 +125,7 @@ impl fmt::Display for ZoneGrid {
 /// The placement of one user: the time zone whose profile is EMD-closest.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserPlacement {
-    user: String,
+    user: Arc<str>,
     zone_hours: i32,
     emd: f64,
     /// Sub-hour part of the offset (same sign as the offset, 0 on the
@@ -168,7 +169,7 @@ impl Serialize for UserPlacement {
 impl Deserialize for UserPlacement {
     fn from_value(value: &serde::Value) -> Result<UserPlacement, serde::DeError> {
         Ok(UserPlacement {
-            user: String::from_value(value.field("user")?)?,
+            user: Arc::from_value(value.field("user")?)?,
             zone_hours: i32::from_value(value.field("zone_hours")?)?,
             emd: f64::from_value(value.field("emd")?)?,
             zone_minutes: match value.field("zone_minutes") {
@@ -183,7 +184,7 @@ impl UserPlacement {
     /// Creates a whole-hour placement record directly (used when
     /// placements come from synthetic constructions rather than
     /// [`place_user`], e.g. the replicated-crowd experiment of Fig. 6a).
-    pub fn new(user: impl Into<String>, zone_hours: i32, emd: f64) -> UserPlacement {
+    pub fn new(user: impl Into<Arc<str>>, zone_hours: i32, emd: f64) -> UserPlacement {
         UserPlacement {
             user: user.into(),
             zone_hours,
@@ -195,7 +196,7 @@ impl UserPlacement {
     /// Creates a placement at an offset given in minutes east of UTC
     /// (e.g. `345` for Nepal's +5:45).
     pub fn from_offset_minutes(
-        user: impl Into<String>,
+        user: impl Into<Arc<str>>,
         offset_minutes: i32,
         emd: f64,
     ) -> UserPlacement {
@@ -294,7 +295,7 @@ pub fn place_user(profile: &ActivityProfile, generic: &GenericProfile) -> UserPl
         }
     }
     UserPlacement {
-        user: profile.user().to_owned(),
+        user: Arc::clone(profile.shared_user()),
         zone_hours: best_zone,
         emd: best_emd,
         zone_minutes: 0,

@@ -1,6 +1,7 @@
 //! User activity profiles — Eq. 1 of the paper.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -14,9 +15,13 @@ use crowdtz_time::{HolidayCalendar, Timestamp, TraceSet, TzOffset, UserTrace, Zo
 /// `h` of day `d` — so multiple posts within the same hour of the same day
 /// count once. The profile is the normalized count of active (day, hour)
 /// slots per hour.
+///
+/// The pseudonym is shared (`Arc<str>`): a user's profile, placement and
+/// every report row that copies them point at one string, so copying a
+/// row allocates nothing and the string stays where it was first made.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ActivityProfile {
-    user: String,
+    user: Arc<str>,
     distribution: Distribution24,
     active_slots: usize,
     post_count: usize,
@@ -86,7 +91,7 @@ impl ActivityProfile {
         }
         let hist: Histogram24 = scratch.iter().map(|&(_, h)| h).collect();
         Some(ActivityProfile {
-            user: trace.id().to_owned(),
+            user: trace.id().into(),
             distribution: hist.normalized().ok()?,
             active_slots: scratch.len(),
             post_count: posts,
@@ -97,7 +102,7 @@ impl ActivityProfile {
     /// accumulators maintain slot counts incrementally and must produce
     /// profiles bit-identical to the batch constructors.
     pub(crate) fn from_parts(
-        user: String,
+        user: Arc<str>,
         distribution: Distribution24,
         active_slots: usize,
         post_count: usize,
@@ -112,6 +117,11 @@ impl ActivityProfile {
 
     /// The user's pseudonym.
     pub fn user(&self) -> &str {
+        &self.user
+    }
+
+    /// The pseudonym's shared string, for records of the same user.
+    pub(crate) fn shared_user(&self) -> &Arc<str> {
         &self.user
     }
 

@@ -71,6 +71,7 @@ use crate::error::CoreError;
 use crate::pipeline::{GeolocationPipeline, GeolocationReport};
 use crate::placement::{PlacementHistogram, UserPlacement};
 use crate::profile::ActivityProfile;
+use crate::rows::Rows;
 use crate::shard::{ShardSet, SharedIngestObs, UserAccumulator, UserAnalysis};
 use crate::single::{MultiRegionFit, SingleRegionFit};
 
@@ -118,16 +119,25 @@ struct StreamObs {
     dirty: crowdtz_obs::Gauge,
     /// `streaming.snapshots`: snapshots taken.
     snapshots: crowdtz_obs::Counter,
+    /// `placement.users`: users re-placed and kept by refreshes.
+    placed: crowdtz_obs::Counter,
+    /// `shard.NN.users`: users per shard as of the last refresh, one
+    /// gauge per shard (the shard count is fixed at construction).
+    shard_users: Vec<crowdtz_obs::Gauge>,
 }
 
 impl StreamObs {
-    fn new(observer: Arc<crowdtz_obs::Observer>) -> StreamObs {
+    fn new(observer: Arc<crowdtz_obs::Observer>, shards: usize) -> StreamObs {
         StreamObs {
             posts: observer.counter("streaming.posts_ingested"),
             retracted: observer.counter("streaming.posts_retracted"),
             deltas: observer.counter("streaming.deltas"),
             dirty: observer.gauge("streaming.dirty"),
             snapshots: observer.counter("streaming.snapshots"),
+            placed: observer.counter("placement.users"),
+            shard_users: (0..shards)
+                .map(|i| observer.gauge(&format!("shard.{i:02}.users")))
+                .collect(),
             observer,
         }
     }
@@ -177,14 +187,14 @@ pub struct StreamingPipeline {
     /// CDF-keyed placement cache, persistent across refreshes
     /// ([`GeolocationPipeline::placement_cache`] toggles it).
     cache: PlacementCache,
-    /// Kept users' profiles in user-id order — exactly the vector the
-    /// batch pipeline would build, patched in place per dirty user and
-    /// shared with every snapshot through its [`Arc`]. `Arc::make_mut`
-    /// keeps the patch O(dirty) while no snapshot is alive, and falls
-    /// back to one copy-on-write clone when one is.
-    kept_profiles: Arc<Vec<ActivityProfile>>,
+    /// Kept users' profiles in user-id order — exactly the rows the
+    /// batch pipeline would build, patched per dirty user. Every snapshot
+    /// shares the chunks; a patch copies a chunk only while a live
+    /// report still holds it, so a refresh stays O(dirty) however many
+    /// reports are alive.
+    kept_profiles: Rows<ActivityProfile>,
     /// Kept users' placements, parallel to `kept_profiles`.
-    kept_placements: Arc<Vec<UserPlacement>>,
+    kept_placements: Rows<UserPlacement>,
     /// Users whose analysis is `Some` (at or above the activity
     /// threshold); `eligible − kept` is the flat-removed count.
     eligible: usize,
@@ -204,8 +214,10 @@ impl StreamingPipeline {
     pub fn new(pipeline: GeolocationPipeline) -> StreamingPipeline {
         let grid = pipeline.effective_grid();
         let engine = PlacementEngine::with_grid(pipeline.generic(), grid);
-        let obs = pipeline.obs().map(StreamObs::new);
         let shards = ShardSet::new(pipeline.effective_shards());
+        let obs = pipeline
+            .obs()
+            .map(|o| StreamObs::new(o, shards.shard_count()));
         let cache = PlacementCache::new(pipeline.placement_cache_enabled());
         StreamingPipeline {
             pipeline,
@@ -214,8 +226,8 @@ impl StreamingPipeline {
             shards,
             cache,
             refit: RefitMode::Exact,
-            kept_profiles: Arc::new(Vec::new()),
-            kept_placements: Arc::new(Vec::new()),
+            kept_profiles: Rows::new(),
+            kept_placements: Rows::new(),
             eligible: 0,
             zone_counts: vec![0; grid.zones()],
             fit_cache: None,
@@ -285,8 +297,8 @@ impl StreamingPipeline {
     /// [`RefitMode::Exact`] a cold refit is bit-identical anyway.
     pub(crate) fn rebuild_derived_state(&mut self) {
         let grid = self.engine.grid();
-        let mut profiles = Vec::new();
-        let mut placements = Vec::new();
+        let mut profiles = Rows::new();
+        let mut placements = Rows::new();
         let mut eligible = 0usize;
         let mut zone_counts = vec![0usize; grid.zones()];
         for (_, acc) in self.shards.all_users_sorted() {
@@ -300,8 +312,8 @@ impl StreamingPipeline {
                 placements.push(a.placement.clone().expect("kept users are placed"));
             }
         }
-        self.kept_profiles = Arc::new(profiles);
-        self.kept_placements = Arc::new(placements);
+        self.kept_profiles = profiles;
+        self.kept_placements = placements;
         self.eligible = eligible;
         self.zone_counts = zone_counts;
         self.fit_cache = None;
@@ -403,7 +415,7 @@ impl StreamingPipeline {
     /// in globally sorted id order, rebuild the changed profiles in
     /// parallel, resolve their CDFs through the placement cache (parallel
     /// exact scans for the misses only), and patch the zone counts and
-    /// the shared kept vectors sequentially. Chunking is order-stable and
+    /// the shared kept rows sequentially. Chunking is order-stable and
     /// the cache probe is sequential, so the per-user results — and
     /// therefore every snapshot — are invariant to both the thread count
     /// and the shard count.
@@ -440,26 +452,27 @@ impl StreamingPipeline {
         // Phase 3 (sequential): assemble analyses and patch shared state.
         let mut resolutions = resolved.into_iter();
         let mut placed = 0u64;
-        let profiles = Arc::make_mut(&mut self.kept_profiles);
-        let placements = Arc::make_mut(&mut self.kept_placements);
         for (id, prep) in dirty.into_iter().zip(prepared) {
             let acc = self.shards.acc_mut(&id).expect("dirty user exists");
+            let old = acc.analysis.take();
             let analysis = prep.map(|(distribution, _)| {
                 let r = resolutions
                     .next()
                     .expect("one resolution per eligible user");
-                let profile = ActivityProfile::from_parts(
-                    id.clone(),
-                    distribution,
-                    acc.slots.len(),
-                    acc.posts,
+                // Keep the user's name string from the last analysis, so
+                // rows of unchanged and re-placed users alike stay put.
+                let user = old.as_ref().map_or_else(
+                    || Arc::from(id.as_str()),
+                    |a| Arc::clone(a.profile.shared_user()),
                 );
+                let profile =
+                    ActivityProfile::from_parts(user, distribution, acc.slots.len(), acc.posts);
                 let flat = polish && r.flat;
                 let placement = if flat {
                     None
                 } else {
                     Some(UserPlacement::from_offset_minutes(
-                        profile.user(),
+                        Arc::clone(profile.shared_user()),
                         r.zone_minutes,
                         r.emd,
                     ))
@@ -472,7 +485,6 @@ impl StreamingPipeline {
             });
             placed += u64::from(analysis.as_ref().is_some_and(UserAnalysis::kept));
             let grid = self.engine.grid();
-            let old = acc.analysis.take();
             if let Some(p) = old.as_ref().and_then(|a| a.placement.as_ref()) {
                 self.zone_counts[grid.index_of_minutes(p.offset_minutes())] -= 1;
             }
@@ -481,14 +493,14 @@ impl StreamingPipeline {
             }
             self.eligible -= usize::from(old.is_some());
             self.eligible += usize::from(analysis.is_some());
-            // Patch the kept vectors at the user's id-ordered position.
+            // Patch the kept rows at the user's id-ordered position.
             // Dirty users that stay kept (the steady state) are replaced
             // in place; membership changes shift the tail, and the
             // initial bulk ingest arrives in ascending id order, so every
             // insert is an append.
             let old_kept = old.as_ref().is_some_and(UserAnalysis::kept);
             let new_kept = analysis.as_ref().is_some_and(UserAnalysis::kept);
-            let pos = profiles.binary_search_by(|p| p.user().cmp(&id));
+            let pos = self.kept_profiles.binary_search_by(|p| p.user().cmp(&id));
             match (old_kept, new_kept) {
                 (_, true) => {
                     let a = analysis.as_ref().expect("kept analysis exists");
@@ -497,33 +509,30 @@ impl StreamingPipeline {
                     match pos {
                         Ok(i) => {
                             debug_assert!(old_kept);
-                            profiles[i] = profile;
-                            placements[i] = placement;
+                            self.kept_profiles.set(i, profile);
+                            self.kept_placements.set(i, placement);
                         }
                         Err(i) => {
                             debug_assert!(!old_kept);
-                            profiles.insert(i, profile);
-                            placements.insert(i, placement);
+                            self.kept_profiles.insert(i, profile);
+                            self.kept_placements.insert(i, placement);
                         }
                     }
                 }
                 (true, false) => {
-                    let i = pos.expect("kept user is in the kept vectors");
-                    profiles.remove(i);
-                    placements.remove(i);
+                    let i = pos.expect("kept user is in the kept rows");
+                    self.kept_profiles.remove(i);
+                    self.kept_placements.remove(i);
                 }
                 (false, false) => {}
             }
-            let acc = self.shards.acc_mut(&id).expect("dirty user exists");
             acc.analysis = analysis;
         }
         if let Some(obs) = &self.obs {
-            obs.observer.counter("placement.users").add(placed);
+            obs.placed.add(placed);
             // Shard occupancy, as of this refresh.
-            for (i, n) in self.shards.occupancy().into_iter().enumerate() {
-                obs.observer
-                    .gauge(&format!("shard.{i:02}.users"))
-                    .set(n as f64);
+            for (gauge, n) in obs.shard_users.iter().zip(self.shards.occupancy()) {
+                gauge.set(n as f64);
             }
         }
     }
@@ -550,9 +559,10 @@ impl StreamingPipeline {
 
     /// Produces the current [`GeolocationReport`], doing work proportional
     /// to the dirty set (plus one cheap O(24·n) reduction). The report
-    /// shares the kept profile/placement vectors with the engine via
-    /// `Arc` — assembling it copies nothing per user, and holding an old
-    /// report costs at most one copy-on-write clone at the next refresh.
+    /// shares the kept profile/placement rows with the engine chunk by
+    /// chunk — assembling it copies nothing per user, and holding an old
+    /// report costs the next refresh one chunk copy per dirty user at
+    /// most (see [`Rows`]).
     ///
     /// In [`RefitMode::Exact`] the report is byte-identical to
     /// [`GeolocationPipeline::analyze`] over the cumulative traces.
@@ -600,10 +610,10 @@ impl StreamingPipeline {
             self.refit(&histogram)?
         };
         Ok(GeolocationReport::from_parts(
-            Arc::clone(&self.kept_profiles),
+            self.kept_profiles.clone(),
             flat_removed,
             crowd,
-            Arc::clone(&self.kept_placements),
+            self.kept_placements.clone(),
             histogram,
             single,
             multi,
@@ -984,5 +994,95 @@ mod tests {
             s.snapshot().unwrap()
         };
         assert_eq!(report_json(&inc), report_json(&off));
+    }
+
+    /// `posts` posts for `user`, one per day at two evening hours that
+    /// depend on the user — a placeable, non-flat profile.
+    fn evening_posts(user: usize, first_day: i64, posts: usize) -> Vec<Timestamp> {
+        (first_day..first_day + posts as i64)
+            .map(|d| Timestamp::from_secs(d * 86_400 + (18 + (user % 3) as i64 + d % 2) * 3_600))
+            .collect()
+    }
+
+    /// Chunks of `new` that `old` does not share.
+    fn fresh_chunks<T>(old: &Rows<T>, new: &Rows<T>) -> usize {
+        new.chunks()
+            .iter()
+            .filter(|c| !old.chunks().iter().any(|o| Arc::ptr_eq(o, c)))
+            .count()
+    }
+
+    /// A snapshot taken while earlier reports are held copies only the
+    /// chunks holding dirty users, leaves the held reports' bytes alone,
+    /// and still equals a batch analysis — for a user who stays kept
+    /// (set), crosses the activity threshold upwards (insert) and falls
+    /// back below it (remove).
+    #[test]
+    fn held_reports_share_every_chunk_no_dirty_user_touches() {
+        type Posts = std::collections::BTreeMap<String, Vec<Timestamp>>;
+        let pipeline = GeolocationPipeline::default().min_posts(10).threads(1);
+        let batch = |posts: &Posts| {
+            let mut traces = TraceSet::new();
+            for (user, ps) in posts {
+                for &p in ps {
+                    traces.record(user, p);
+                }
+            }
+            report_json(&pipeline.analyze(&traces).unwrap())
+        };
+        let mut stream = StreamingPipeline::new(pipeline.clone());
+        let mut posts = Posts::new();
+        let feed =
+            |stream: &mut StreamingPipeline, posts: &mut Posts, user: &str, new: Vec<Timestamp>| {
+                stream.ingest(user, &new);
+                posts.entry(user.to_owned()).or_default().extend(new);
+            };
+        for u in 0..1000 {
+            feed(
+                &mut stream,
+                &mut posts,
+                &format!("u{u:04}"),
+                evening_posts(u, 0, 12),
+            );
+        }
+        // Nine posts: one short of the threshold; sorts mid-crowd.
+        feed(&mut stream, &mut posts, "u0150x", evening_posts(150, 0, 9));
+        let first = stream.snapshot().unwrap();
+        let first_bytes = report_json(&first);
+        assert_eq!(first_bytes, batch(&posts));
+        assert!(first.profiles().chunks().len() > 10);
+
+        // A kept user changes: one chunk per row list is copied.
+        feed(&mut stream, &mut posts, "u0037", evening_posts(37, 100, 1));
+        let second = stream.snapshot().unwrap();
+        let second_bytes = report_json(&second);
+        assert_eq!(second_bytes, batch(&posts));
+        assert_eq!(fresh_chunks(first.profiles(), second.profiles()), 1);
+        assert_eq!(fresh_chunks(first.placements(), second.placements()), 1);
+
+        // The tenth post makes u0150x kept: an insert into a full chunk,
+        // which splits it into two fresh halves.
+        let tenth = evening_posts(150, 9, 1);
+        feed(&mut stream, &mut posts, "u0150x", tenth.clone());
+        let third = stream.snapshot().unwrap();
+        assert_eq!(report_json(&third), batch(&posts));
+        assert_eq!(third.users_classified(), second.users_classified() + 1);
+        assert!(fresh_chunks(second.profiles(), third.profiles()) <= 2);
+        assert!(fresh_chunks(second.placements(), third.placements()) <= 2);
+
+        // Retracting that post drops u0150x again: a remove.
+        stream.retract("u0150x", &tenth);
+        posts
+            .get_mut("u0150x")
+            .unwrap()
+            .retain(|p| !tenth.contains(p));
+        let fourth = stream.snapshot().unwrap();
+        assert_eq!(report_json(&fourth), second_bytes);
+        assert!(fresh_chunks(third.profiles(), fourth.profiles()) <= 1);
+        assert!(fresh_chunks(third.placements(), fourth.placements()) <= 1);
+
+        // Every held report still reads as it did when taken.
+        assert_eq!(report_json(&first), first_bytes);
+        assert_eq!(report_json(&second), second_bytes);
     }
 }

@@ -349,3 +349,49 @@ fn stage_timings_cover_every_profile_analysis_stage() {
         assert!(stage.total_ns > 0, "zero wall time for {expected}");
     }
 }
+
+/// Feeds the two-region crowd through a concurrent engine in three
+/// rounds, publishing after each, and returns every published report's
+/// JSON. A publish before the first ingest fails and must not count.
+fn concurrent_run(observer: Option<Arc<Observer>>) -> Vec<String> {
+    let traces = two_region_crowd();
+    let mut pipeline = GeolocationPipeline::default().threads(2);
+    if let Some(obs) = observer {
+        pipeline = pipeline.observer(obs);
+    }
+    let engine = ConcurrentStreamingPipeline::new(pipeline);
+    assert!(engine.publish().is_err());
+    let writer = engine.writer();
+    (0..3usize)
+        .map(|round| {
+            let posts: Vec<(&str, crowdtz_time::Timestamp)> = traces
+                .iter()
+                .flat_map(|t| {
+                    let ps = t.posts();
+                    ps[ps.len() * round / 3..ps.len() * (round + 1) / 3]
+                        .iter()
+                        .map(move |&p| (t.id(), p))
+                })
+                .collect();
+            writer.ingest_posts_ref(&posts).unwrap();
+            full_json(engine.publish().unwrap().report())
+        })
+        .collect()
+}
+
+#[test]
+fn publish_histogram_counts_every_publish_and_keeps_the_bytes() {
+    let observer = Observer::from_env();
+    assert_eq!(
+        concurrent_run(None),
+        concurrent_run(Some(Arc::clone(&observer))),
+        "observer changed published output"
+    );
+    let metrics = observer.snapshot();
+    let publishes = metrics.counters["ingest.publishes"];
+    assert_eq!(publishes, 3);
+    let hist = &metrics.histograms["ingest.publish_ns"];
+    assert_eq!(hist.count, publishes);
+    assert_eq!(hist.buckets.iter().sum::<u64>(), publishes);
+    assert!(hist.sum > 0);
+}

@@ -221,10 +221,10 @@ fn main() {
         let snapshot = streaming.snapshot().expect("incremental snapshot");
         incremental_total += start.elapsed().as_secs_f64();
 
-        // Snapshots share their per-user vectors with the engine; a report
-        // held across the next refresh costs one copy-on-write clone. Drop
-        // each round's reports (keeping only the last) so the steady-state
-        // monitoring cost is what gets measured.
+        // Snapshots share their per-user row chunks with the engine; a
+        // report held across the next refresh costs that refresh one chunk
+        // copy per dirty user. Drop each round's reports (keeping only the
+        // last) so the steady-state monitoring cost is what gets measured.
         if round == rounds as i64 {
             last_pair = Some((batch, snapshot));
         }
