@@ -41,9 +41,9 @@ use crowdtz_bench::{synthetic_profiles, synthetic_traces};
 use crowdtz_core::{
     bootstrap_components_threads, clamped_threads, default_threads, place_user, Batch,
     BootstrapConfig, ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline,
-    IngestWriter, PlacementEngine, StreamingPipeline, ZoneGrid,
+    IngestWriter, PlacementEngine, ZoneGrid,
 };
-use crowdtz_time::Timestamp;
+use crowdtz_time::{Timestamp, TraceSet};
 
 /// Best-of-`runs` wall-clock seconds for `work`.
 fn time_best<T>(runs: usize, mut work: impl FnMut() -> T) -> f64 {
@@ -225,6 +225,38 @@ fn main() {
     }
 }
 
+/// Every trace of a set as `(user, posts)` deltas, in id order.
+fn deltas_of(traces: &TraceSet) -> Vec<(&str, &[Timestamp])> {
+    traces.iter().map(|t| (t.id(), t.posts())).collect()
+}
+
+/// Applies `deltas` to `engine` as one batch per writer, each writer
+/// carrying a contiguous share: one writer on the calling thread, or
+/// `writers` writers on their own threads.
+fn apply_split(
+    engine: &ConcurrentStreamingPipeline,
+    deltas: &[(&str, &[Timestamp])],
+    writers: usize,
+) {
+    let apply = |part: &[(&str, &[Timestamp])]| {
+        let batch = Batch {
+            ingest: part,
+            ..Batch::default()
+        };
+        engine.writer().apply(&batch).expect("in-memory ingest");
+    };
+    if writers <= 1 {
+        apply(deltas);
+        return;
+    }
+    let share = deltas.len().div_ceil(writers).max(1);
+    std::thread::scope(|scope| {
+        for part in deltas.chunks(share) {
+            scope.spawn(move || apply(part));
+        }
+    });
+}
+
 /// Full batch re-analysis vs incremental streaming snapshot with ~1%
 /// dirty users, written to `BENCH_streaming.json`.
 fn streaming_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str) {
@@ -238,25 +270,29 @@ fn streaming_bench(users: usize, threads: usize, host_cpus: usize, out_path: &st
     let full_s = time_best(runs, || pipeline().analyze(&traces).expect("batch analyze"));
 
     // Prime the streaming engine with the whole crowd, then time only the
-    // between-rounds work: ingest a ~1% dirty set and snapshot.
-    let mut streaming = StreamingPipeline::new(pipeline());
-    streaming.ingest_set(&traces);
-    streaming.snapshot().expect("priming snapshot");
-    // Zero dirty users: the floor of any snapshot (collect + aggregate +
+    // between-rounds work: ingest a ~1% dirty set and publish.
+    let streaming = ConcurrentStreamingPipeline::new(pipeline());
+    let writer = streaming.writer();
+    apply_split(&streaming, &deltas_of(&traces), 1);
+    streaming.publish().expect("priming snapshot");
+    // Zero dirty users: the floor of any publish (collect + aggregate +
     // fit-cache hit).
-    let cached_s = time_best(runs, || streaming.snapshot().expect("cached snapshot"));
+    let cached_s = time_best(runs, || streaming.publish().expect("cached snapshot"));
     let dirty = (users / 100).max(1);
     eprintln!("timing incremental snapshots ({dirty} dirty users/round, best of {runs})…");
     let mut round: i64 = 0;
     let incr_s = time_best(runs, || {
         round += 1;
-        for i in 0..dirty {
-            let user = format!("u{:06}", (i * 97 + round as usize * 31) % users);
-            let ts =
-                Timestamp::from_secs(posts_per_user as i64 * 86_400 + round * 3_600 + i as i64);
-            streaming.ingest(&user, &[ts]);
-        }
-        streaming.snapshot().expect("incremental snapshot")
+        let posts: Vec<(String, Timestamp)> = (0..dirty)
+            .map(|i| {
+                let user = format!("u{:06}", (i * 97 + round as usize * 31) % users);
+                let ts = posts_per_user as i64 * 86_400 + round * 3_600 + i as i64;
+                (user, Timestamp::from_secs(ts))
+            })
+            .collect();
+        let refs: Vec<(&str, Timestamp)> = posts.iter().map(|(u, ts)| (u.as_str(), *ts)).collect();
+        writer.ingest_posts_ref(&refs).expect("in-memory ingest");
+        streaming.publish().expect("incremental snapshot")
     });
 
     let speedup = full_s / incr_s;
@@ -296,15 +332,19 @@ fn sharding_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str
     // shard counts as integers in ascending order instead of lexically
     // ordered keys ("16" < "4").
     let mut ingest_posts_per_sec = Vec::new();
+    let deltas = deltas_of(&traces);
     for shards in [1usize, 4, 16] {
         eprintln!("timing ingest at {shards} shards (best of {runs})…");
+        // One writer per worker thread (at most one per shard), each
+        // applying its share of the crowd as one batch.
+        let writers = clamped_threads(threads).min(shards);
         let s = time_best(runs, || {
-            let mut streaming = StreamingPipeline::new(
+            let streaming = ConcurrentStreamingPipeline::new(
                 GeolocationPipeline::default()
                     .threads(threads)
                     .shards(shards),
             );
-            streaming.ingest_set(&traces);
+            apply_split(&streaming, &deltas, writers);
             streaming
         });
         ingest_posts_per_sec.push(serde_json::json!({
@@ -319,10 +359,11 @@ fn sharding_bench(users: usize, threads: usize, host_cpus: usize, out_path: &str
     // near-zero hit rate.
     let hit_rate = |posts: usize| {
         let sparse = synthetic_traces(users.min(20_000), posts, 23);
-        let mut streaming =
-            StreamingPipeline::new(GeolocationPipeline::default().threads(threads).min_posts(1));
-        streaming.ingest_set(&sparse);
-        streaming.snapshot().expect("sharding snapshot");
+        let streaming = ConcurrentStreamingPipeline::new(
+            GeolocationPipeline::default().threads(threads).min_posts(1),
+        );
+        apply_split(&streaming, &deltas_of(&sparse), 1);
+        streaming.publish().expect("sharding snapshot");
         let (hits, misses) = streaming.cache_stats();
         (hits, misses, hits as f64 / (hits + misses).max(1) as f64)
     };

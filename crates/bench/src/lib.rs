@@ -100,7 +100,7 @@ pub fn synthetic_profiles(users: usize, posts_per_user: usize, seed: u64) -> Vec
 /// round-robin zone crowd, but returned as a [`TraceSet`] so benchmarks
 /// can exercise the full trace → profile → placement path — batch
 /// (`GeolocationPipeline::analyze`) or streaming
-/// (`StreamingPipeline::ingest_set`).
+/// (`ConcurrentStreamingPipeline` writers).
 pub fn synthetic_traces(users: usize, posts_per_user: usize, seed: u64) -> TraceSet {
     let generic = GenericProfile::reference();
     let tables = zone_cumulative_tables(&generic);

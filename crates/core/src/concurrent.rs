@@ -1,11 +1,11 @@
 //! Concurrent multi-writer ingestion with wait-free snapshot reads.
 //!
-//! [`ConcurrentStreamingPipeline`] fronts one [`StreamingPipeline`] with
-//! the locking the ROADMAP's "serve it" item calls for: many `Monitor`s
-//! (or any producer threads) feed one shared engine through
-//! [`IngestWriter`] handles, while readers consume published reports
-//! without ever touching a writer-visible lock. Three layers, with a
-//! strict lock order (DESIGN.md §15):
+//! [`ConcurrentStreamingPipeline`] is the workspace's one incremental
+//! engine: one or many `Monitor`s (or any producer threads) feed it
+//! through [`IngestWriter`] handles, while readers consume
+//! published reports without ever touching a writer-visible lock. It
+//! wraps the crate-private streaming state (`streaming.rs`) in three
+//! layers with a strict lock order (DESIGN.md §15):
 //!
 //! 1. **The batch gate** — an `RwLock` around the engine. Writers hold
 //!    the *read* side for exactly one batch, so any number of writers
@@ -24,16 +24,16 @@
 //! # Determinism under concurrency
 //!
 //! Published reports are **byte-identical** (through `serde_json`) to
-//! the single-owner `&mut` path fed the same cumulative deltas, for any
-//! writer count × shard count × grid, with or without durability.
+//! [`GeolocationPipeline::analyze`] over the posts that survive the
+//! applied batches (ingested and not retracted), for any writer count ×
+//! shard count × grid, with or without durability.
 //! The argument, pinned by `tests/concurrent_determinism.rs`:
 //!
 //! * A delta is a slot-set union plus integer adds
 //!   (`UserAccumulator::absorb`), so deltas **commute** — the final
 //!   accumulator state does not depend on the interleaving.
-//! * Each shard keeps a monotonic sequence number, and refresh drains
-//!   dirty ids in **globally sorted order** — the merge order is fixed,
-//!   not arrival order.
+//! * Refresh drains dirty ids in **globally sorted order** — the merge
+//!   order is fixed, not arrival order.
 //! * Everything downstream of the accumulators (profiles, placements,
 //!   zone counts, fits) is a pure function of that state. Placement
 //!   resolves only inside `publish`, under the write gate, through the
@@ -150,7 +150,7 @@ fn write_gate<T>(gate: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 /// atomic add per metric, not a registry lookup.
 #[derive(Debug)]
 struct ConcurrentObs {
-    /// Shard-level handles threaded into `ShardSet::apply_batch_shared`.
+    /// Shard-level handles threaded into `ShardSet::apply_batch`.
     shared: SharedIngestObs,
     /// `ingest.gate_contention`: batch-gate acquisitions that blocked
     /// (a publish was running or pending).
@@ -252,7 +252,7 @@ impl Log {
 }
 
 /// Everything the batch gate guards. Writers reach `stream` through a
-/// shared reference (`apply_deltas_shared` locks per shard); the
+/// shared reference (`StreamingPipeline::apply` locks per shard); the
 /// publisher's write guard gives the `&mut` that `snapshot()` needs.
 #[derive(Debug)]
 struct Engine {
@@ -273,8 +273,10 @@ pub struct PublishedReport {
 }
 
 impl PublishedReport {
-    /// The geolocation report, byte-identical to the single-owner path
-    /// fed the same per-writer batch prefixes (see the module docs).
+    /// The geolocation report, byte-identical to
+    /// [`GeolocationPipeline::analyze`] over the posts that survive the
+    /// per-writer batch prefixes this report reflects (see the module
+    /// docs).
     pub fn report(&self) -> &GeolocationReport {
         &self.report
     }
@@ -388,8 +390,9 @@ impl Shared {
     }
 }
 
-/// A concurrent, multi-writer front for the streaming engine. See the
-/// module docs for the locking and determinism model. Cheap to share:
+/// The incremental analysis engine: writers apply signed batches,
+/// `publish` snapshots them, readers take the newest report wait-free.
+/// See the module docs for the locking and determinism model. Cheap to share:
 /// the handle itself is an `Arc` around the shared state, and
 /// [`writer`](Self::writer) hands out independently owned ingest
 /// handles.
@@ -410,8 +413,10 @@ pub struct IngestWriter {
 }
 
 impl ConcurrentStreamingPipeline {
-    /// Wraps a configured batch pipeline, exactly as
-    /// [`StreamingPipeline::new`].
+    /// Wraps a configured batch pipeline. Its generic profile, activity
+    /// threshold, polishing flag, component cap, thread count, shard
+    /// count, zone grid and placement-cache toggle all carry over; the
+    /// placement engine is built once and reused by every publish.
     pub fn new(pipeline: GeolocationPipeline) -> ConcurrentStreamingPipeline {
         let obs = pipeline.obs().map(|o| ConcurrentObs::new(&o));
         Self::assemble(StreamingPipeline::new(pipeline), Log::default(), obs)
@@ -515,8 +520,9 @@ impl ConcurrentStreamingPipeline {
         self.publish_with_coverage(1.0)
     }
 
-    /// [`publish`](Self::publish) for a partial crawl — the concurrent
-    /// analogue of [`StreamingPipeline::snapshot_with_coverage`].
+    /// [`publish`](Self::publish) for a crawl that covered only a
+    /// `coverage` fraction of the forum — the incremental analogue of
+    /// [`GeolocationPipeline::analyze_partial`].
     ///
     /// # Errors
     ///
@@ -677,9 +683,11 @@ impl IngestWriter {
                 }
             }
         }
+        // One worker per batch: writers are already parallel with each
+        // other, so a batch does not fan out further.
         let obs = self.shared.obs.as_ref().map(|o| &o.shared);
-        guard.stream.apply_deltas_shared(batch.ingest, false, obs);
-        guard.stream.apply_deltas_shared(batch.retract, true, obs);
+        guard.stream.apply(batch.ingest, false, 1, obs);
+        guard.stream.apply(batch.retract, true, 1, obs);
         if let Some(obs) = &self.shared.obs {
             obs.batches.inc();
         }
@@ -759,6 +767,17 @@ mod tests {
         writer.apply(&batch).unwrap()
     }
 
+    /// Bytes of a batch analysis over `(user, posts)` deltas.
+    fn batch_json(deltas: &[(String, &[Timestamp])]) -> String {
+        let mut traces = crowdtz_time::TraceSet::new();
+        for (user, posts) in deltas {
+            for &p in *posts {
+                traces.record(user, p);
+            }
+        }
+        serde_json::to_string(&pipeline().analyze(&traces).unwrap()).unwrap()
+    }
+
     fn posts_for(day0: i64, hour: u8, n: usize) -> Vec<Timestamp> {
         (0..n as i64)
             .map(|d| Timestamp::from_secs((day0 + d) * 86_400 + i64::from(hour) * 3_600))
@@ -784,7 +803,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_writers_match_the_single_owner_path() {
+    fn concurrent_writers_match_batch_analyze() {
         let traces: Vec<(String, Vec<Timestamp>)> = (0..24)
             .map(|i| {
                 (
@@ -793,11 +812,12 @@ mod tests {
                 )
             })
             .collect();
-        let mut reference = StreamingPipeline::new(pipeline());
-        for (user, posts) in &traces {
-            reference.ingest(user, posts);
-        }
-        let expected = serde_json::to_string(&reference.snapshot().unwrap()).unwrap();
+        let expected = batch_json(
+            &traces
+                .iter()
+                .map(|(u, p)| (u.clone(), p.as_slice()))
+                .collect::<Vec<_>>(),
+        );
 
         let engine = ConcurrentStreamingPipeline::new(pipeline());
         std::thread::scope(|scope| {
@@ -895,10 +915,10 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_retraction_matches_the_single_owner_path() {
+    fn concurrent_retraction_matches_batch_analyze() {
         // Ingest everything, then retract the back half from several
-        // writers at once: the published report must equal a single-owner
-        // engine fed only the surviving posts.
+        // writers at once: the published report must equal a batch
+        // analysis of only the surviving posts.
         let traces: Vec<(String, Vec<Timestamp>)> = (0..18)
             .map(|i| (format!("u{i:02}"), posts_for(i % 4, (i * 5 % 24) as u8, 10)))
             .collect();
@@ -917,11 +937,12 @@ mod tests {
                 });
             }
         });
-        let mut reference = StreamingPipeline::new(pipeline());
-        for (user, posts) in &traces {
-            reference.ingest(user, &posts[..5]);
-        }
-        let expected = serde_json::to_string(&reference.snapshot().unwrap()).unwrap();
+        let expected = batch_json(
+            &traces
+                .iter()
+                .map(|(u, p)| (u.clone(), &p[..5]))
+                .collect::<Vec<_>>(),
+        );
         let published = engine.publish().unwrap();
         assert_eq!(serde_json::to_string(published.report()).unwrap(), expected);
         // 18 ingest batches + 18 retraction batches, all watermarked.

@@ -265,7 +265,7 @@ pub(crate) fn recover(
     }
     for (_, payload) in &recovered.deltas {
         let batch: LogBatch = decode_json("log record", payload)?;
-        apply_batch(&mut inner, &batch);
+        apply_batch(&inner, &batch);
         if batch.source_seq != 0 {
             source_seq = source_seq.max(batch.source_seq);
             if batch.checkpoint.is_some() {
@@ -340,16 +340,20 @@ pub(crate) fn build_snapshot_parts(
     parts.into_iter().collect()
 }
 
-/// Replays one logged batch through the normal delta-update path —
-/// ingests first, then retractions, matching the live order.
-fn apply_batch(inner: &mut StreamingPipeline, batch: &LogBatch) {
-    for (user, secs) in &batch.deltas {
-        let posts: Vec<Timestamp> = secs.iter().map(|&s| Timestamp::from_secs(s)).collect();
-        inner.ingest(user, &posts);
-    }
-    for (user, secs) in &batch.retractions {
-        let posts: Vec<Timestamp> = secs.iter().map(|&s| Timestamp::from_secs(s)).collect();
-        inner.retract(user, &posts);
+/// Replays one logged batch through the live write path — one call per
+/// sign, ingests first, then retractions, matching the live order.
+fn apply_batch(inner: &StreamingPipeline, batch: &LogBatch) {
+    for (deltas, retract) in [(&batch.deltas, false), (&batch.retractions, true)] {
+        let posts: Vec<Vec<Timestamp>> = deltas
+            .iter()
+            .map(|(_, secs)| secs.iter().map(|&s| Timestamp::from_secs(s)).collect())
+            .collect();
+        let refs: Vec<(&str, &[Timestamp])> = deltas
+            .iter()
+            .zip(&posts)
+            .map(|((user, _), p)| (user.as_str(), p.as_slice()))
+            .collect();
+        inner.apply(&refs, retract, 1, None);
     }
 }
 

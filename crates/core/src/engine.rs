@@ -1033,7 +1033,7 @@ impl PlacementEngine {
     /// per-user histogram `placement.exact_evals_per_user` (bucketed per
     /// grid). Metric updates are commutative atomic adds, so totals are
     /// identical for any thread count, and the returned placements are
-    /// byte-identical to [`place_all`].
+    /// byte-identical to [`place_all`](Self::place_all).
     pub fn place_all_observed(
         &self,
         profiles: &[ActivityProfile],

@@ -25,21 +25,23 @@
 //!    opposite seasonal shifts in the northern and southern hemispheres.
 //! 9. **The full pipeline** (§V): [`GeolocationPipeline`] — polish,
 //!    place, fit, report, with the Table II quality metrics.
-//! 10. **Streaming re-analysis** (§V's monitoring scenario):
-//!     [`StreamingPipeline`] — delta ingestion over hash-partitioned
-//!     shards of per-user integer accumulators, dirty-user re-placement
-//!     through a CDF-keyed placement cache, cached/warm-started refits.
-//!     Batch analysis *is* this engine (one ingest, one snapshot), so
-//!     snapshots are byte-identical to [`GeolocationPipeline::analyze`]
-//!     by construction — at every shard count, thread count, and with
-//!     the cache on or off.
-//! 11. **Serving and durability**: [`ConcurrentStreamingPipeline`] —
-//!     many [`IngestWriter`]s apply signed [`Batch`]es (ingests plus
-//!     retractions) to one engine while readers take published reports
-//!     wait-free. Opened durable, every batch is appended and fsynced to
-//!     a write-ahead log before it is applied, a monitor's sequence
-//!     number and checkpoint travel in the same record, and a restart
-//!     resumes byte-identical to an engine that never stopped.
+//! 10. **Incremental re-analysis** (§V's monitoring scenario):
+//!     [`ConcurrentStreamingPipeline`] — one or many [`IngestWriter`]s
+//!     apply signed [`Batch`]es (ingests plus retractions) to
+//!     hash-partitioned shards of per-user integer accumulators, and a
+//!     publish re-places only the dirty users (through a CDF-keyed
+//!     placement cache) and refits when the zone counts changed, while
+//!     readers take published reports wait-free. Batch analysis *is* this
+//!     engine (one batch, one snapshot), so published reports are
+//!     byte-identical to [`GeolocationPipeline::analyze`] over the
+//!     surviving posts by construction — at every shard count, thread
+//!     count and writer count, and with the cache on or off.
+//! 11. **Durability**: opened with
+//!     [`ConcurrentStreamingPipeline::open_durable`], every batch is
+//!     appended and fsynced to a write-ahead log before it is applied, a
+//!     monitor's sequence number and checkpoint travel in the same
+//!     record, and a restart resumes byte-identical to an engine that
+//!     never stopped.
 //!
 //! # Quickstart
 //!
@@ -99,7 +101,6 @@ pub use profile::{ActivityProfile, ProfileBuilder};
 pub use rows::{Rows, RowsIter};
 pub use shard::default_shards;
 pub use single::{MultiRegionFit, SingleRegionFit, SIGMA_INIT};
-pub use streaming::{RefitMode, StreamingPipeline};
 pub use tenant::{
     valid_tenant_name, Tenant, TenantConfig, TenantError, TenantRegistry, MAX_TENANT_NAME,
 };

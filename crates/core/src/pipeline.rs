@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crowdtz_stats::{pearson, FitQuality, GaussianMixture, StatsError};
-use crowdtz_time::TraceSet;
+use crowdtz_time::{Timestamp, TraceSet};
 
 use crowdtz_stats::BINS;
 
@@ -28,8 +28,9 @@ use crate::streaming::StreamingPipeline;
 /// crowd's regions with a Gaussian-mixture fit.
 ///
 /// [`analyze`](GeolocationPipeline::analyze) is implemented as
-/// "ingest-then-snapshot" on a fresh [`StreamingPipeline`]: traces are
-/// routed into hash-partitioned accumulator shards
+/// "one batch, one snapshot" on a fresh instance of the streaming engine
+/// behind [`ConcurrentStreamingPipeline`](crate::ConcurrentStreamingPipeline):
+/// traces are routed into hash-partitioned accumulator shards
 /// ([`GeolocationPipeline::shards`]), profiles resolve through a
 /// CDF-keyed placement cache
 /// ([`GeolocationPipeline::placement_cache`]), and a single snapshot
@@ -240,16 +241,17 @@ impl GeolocationPipeline {
         if !coverage.is_finite() || coverage <= 0.0 || coverage > 1.0 {
             return Err(CoreError::InvalidCoverage { coverage });
         }
-        // Batch analysis *is* streaming-once: ingest everything into a
-        // fresh sharded engine, snapshot once. One implementation of
-        // profile building, polishing, and placement for both paths —
-        // the streaming identity guarantee (streaming.rs module docs) is
-        // what used to keep two copies in lockstep.
+        // Batch analysis *is* streaming-once: every trace as one batch
+        // into a fresh sharded engine, the shards spread over the worker
+        // threads, then one snapshot. One implementation of profile
+        // building, polishing, and placement for both paths.
         let obs = self.obs();
         let mut engine = StreamingPipeline::new(self.clone());
         {
             let _s = crowdtz_obs::span!(obs, "pipeline.ingest");
-            engine.ingest_set(traces);
+            let deltas: Vec<(&str, &[Timestamp])> =
+                traces.iter().map(|t| (t.id(), t.posts())).collect();
+            engine.apply(&deltas, false, self.effective_threads(), None);
         }
         let report = engine.snapshot_with_coverage(coverage)?;
         if let Some(obs) = &obs {

@@ -39,7 +39,7 @@ pub(crate) const CHUNK: usize = 64;
 /// Reads like a slice (`len`, `iter`, indexing, `binary_search_by`) and
 /// serializes as a plain JSON array, so a report holding `Rows` encodes
 /// to the same bytes as one holding a `Vec`. Chunks are never empty and
-/// never hold more than [`CHUNK`] rows.
+/// never hold more than `CHUNK` (64) rows.
 pub struct Rows<T> {
     chunks: Vec<Arc<Vec<T>>>,
     /// `ends[c]` is the number of rows in chunks `0..=c`.
@@ -141,7 +141,7 @@ impl<T: Clone> Rows<T> {
     }
 
     /// Inserts `row` before row `i` (at the end when `i == len`). A chunk
-    /// that outgrows [`CHUNK`] splits in two.
+    /// that outgrows `CHUNK` rows splits in two.
     ///
     /// # Panics
     ///

@@ -1,23 +1,16 @@
 //! Hash-partitioned accumulator shards — the storage layer of the
 //! streaming engine.
 //!
-//! [`StreamingPipeline`](crate::StreamingPipeline) used to keep every
-//! user in one `BTreeMap`, which serializes ingestion: a bulk delta (a
-//! full crawl round, a monitor poll batch) touches users all over the id
-//! space, but every insert goes through the same map. A [`ShardSet`]
-//! splits the crowd into N disjoint shards by a stable hash of the user
-//! id, so a batch of deltas can be **routed once and applied
-//! concurrently** — each worker owns whole shards, no locks, no shared
-//! mutable state.
-//!
-//! Each shard additionally sits behind its own mutex, so a
-//! [`ConcurrentStreamingPipeline`](crate::ConcurrentStreamingPipeline)
-//! can drive the same shards from **many writer threads at once**
-//! ([`ShardSet::apply_batch_shared`]): writers route by the same FNV
-//! hash and lock one shard at a time, so two writers touching different
-//! shards never contend. The single-owner `&mut` paths are unchanged in
-//! cost — they reach through the mutexes with
-//! [`Mutex::get_mut`], which is a plain borrow, not a lock.
+//! A [`ShardSet`] splits the crowd into N disjoint shards by a stable
+//! hash of the user id, each with its own dirty set behind its own
+//! mutex. Every write goes through one path,
+//! [`apply_batch`](ShardSet::apply_batch): a batch of deltas is **routed
+//! once**, then each touched shard is locked once and its deltas applied
+//! in arrival order. Many [`IngestWriter`](crate::IngestWriter)s call it
+//! at once, one shard lock at a time, so two writers touching different
+//! shards never contend; batch analysis calls it with a worker count, and
+//! each worker takes a contiguous run of whole shards, whose locks it
+//! then holds uncontended.
 //!
 //! # Determinism
 //!
@@ -33,13 +26,12 @@
 //!   independent — so applying shards concurrently is observationally
 //!   identical to the serial loop. (Deltas for the *same* user commute
 //!   too: the accumulator state is a slot-set union plus integer adds,
-//!   so even the multi-writer path needs no cross-writer ordering — see
+//!   so even concurrent writers need no cross-writer ordering — see
 //!   DESIGN.md §15.)
 //! * The dirty set is drained in **globally sorted user-id order**
-//!   ([`ShardSet::take_dirty_sorted`]), exactly the order the unsharded
-//!   engine's single `BTreeSet` produced. Everything downstream
-//!   (profile rebuild, placement, report assembly) therefore sees the
-//!   same users in the same order regardless of the shard count.
+//!   ([`ShardSet::take_dirty_sorted`]), the same order for every shard
+//!   count. Everything downstream (profile rebuild, placement, report
+//!   assembly) therefore sees the same users in the same order.
 //!
 //! `tests/sharding_determinism.rs` asserts the resulting snapshots are
 //! byte-identical across shard counts {1, 4, 16} × threads {1, 2, 8};
@@ -49,7 +41,7 @@
 //! [FNV-1a]: http://www.isthe.com/chongo/tech/comp/fnv/
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
 use crowdtz_stats::BINS;
@@ -100,6 +92,24 @@ fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `Mutex::get_mut` with the same poisoning policy as [`relock`].
 fn remut<T>(m: &mut Mutex<T>) -> &mut T {
     m.get_mut().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Locks a shard for a write: `try_lock` first, and only when that
+/// would block, count the contention and time the wait into `obs`.
+fn lock_observed<'a, T>(m: &'a Mutex<T>, obs: Option<&SharedIngestObs>) -> MutexGuard<'a, T> {
+    match m.try_lock() {
+        Ok(guard) => guard,
+        Err(TryLockError::Poisoned(e)) => e.into_inner(),
+        Err(TryLockError::WouldBlock) => {
+            let start = Instant::now();
+            let guard = relock(m);
+            if let Some(obs) = obs {
+                obs.shard_contention.inc();
+                obs.lock_wait.observe(start.elapsed().as_nanos() as u64);
+            }
+            guard
+        }
+    }
 }
 
 /// Observability handles for the multi-writer ingest path, created once
@@ -260,11 +270,6 @@ impl UserAnalysis {
 struct Shard {
     users: BTreeMap<String, UserAccumulator>,
     dirty: BTreeSet<String>,
-    /// Monotonic count of deltas ever applied to this shard — the
-    /// per-shard sequence number the concurrent engine's publications
-    /// carry. Purely observational: the analysis output is a function of
-    /// the accumulator state alone.
-    seq: u64,
 }
 
 impl Shard {
@@ -278,13 +283,12 @@ impl Shard {
         // Any non-empty delta changes the profile (at minimum its post
         // count), so the user must be re-analyzed.
         self.dirty.insert(user.to_owned());
-        self.seq += 1;
     }
 
     /// Applies one signed delta. Unknown users and never-ingested posts
     /// are skipped (retraction of a post the engine never saw is a
     /// no-op), and a retraction that changes nothing leaves the dirty set
-    /// and sequence number untouched — the state remains exactly what an
+    /// untouched — the state remains exactly what an
     /// engine that never saw the retracted posts would hold. The user's
     /// (possibly now-empty) accumulator stays in the map: an empty
     /// accumulator analyzes to nothing, so reports are unaffected, and
@@ -301,11 +305,10 @@ impl Shard {
             return;
         }
         self.dirty.insert(user.to_owned());
-        self.seq += 1;
     }
 
-    /// Dispatches one delta by sign — the shared inner loop of the batch
-    /// paths, so ingest and retraction route identically.
+    /// Dispatches one delta by sign, so ingest and retraction route
+    /// identically.
     fn apply(&mut self, user: &str, posts: &[Timestamp], retract: bool) {
         if retract {
             self.retract(user, posts);
@@ -317,23 +320,12 @@ impl Shard {
 
 /// N hash-partitioned shards of per-user accumulators with per-shard
 /// dirty sets, each behind its own mutex. See the module docs for the
-/// determinism argument; single-owner paths bypass the mutexes with
-/// `get_mut`, multi-writer paths lock one shard at a time.
+/// determinism argument; writes lock one shard at a time, and the
+/// `&mut` read paths of a refresh reach through the mutexes with
+/// `get_mut`, which is a plain borrow, not a lock.
 #[derive(Debug)]
 pub(crate) struct ShardSet {
     shards: Vec<Mutex<Shard>>,
-}
-
-impl Clone for ShardSet {
-    fn clone(&self) -> ShardSet {
-        ShardSet {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| Mutex::new(relock(s).clone()))
-                .collect(),
-        }
-    }
 }
 
 impl ShardSet {
@@ -356,8 +348,8 @@ impl ShardSet {
     }
 
     /// The accumulators for `ids` in the given order — the refresh
-    /// phase-1 read. Single-owner access: reaches through the mutexes
-    /// without locking.
+    /// phase-1 read. `&mut` access: reaches through the mutexes without
+    /// locking.
     pub(crate) fn accs_for(&mut self, ids: &[String]) -> Vec<&UserAccumulator> {
         let count = self.shards.len() as u64;
         let maps: Vec<&BTreeMap<String, UserAccumulator>> =
@@ -370,121 +362,90 @@ impl ShardSet {
             .collect()
     }
 
-    /// The user's accumulator, if ever ingested (single-owner access).
+    /// The user's accumulator, if ever ingested (`&mut` access, no lock).
     #[cfg(test)]
     pub(crate) fn acc(&mut self, user: &str) -> Option<&UserAccumulator> {
         let shard = self.shard_of(user);
         remut(&mut self.shards[shard]).users.get(user)
     }
 
-    /// Mutable access to the user's accumulator (single-owner access).
+    /// Mutable access to the user's accumulator (`&mut` access, no lock).
     pub(crate) fn acc_mut(&mut self, user: &str) -> Option<&mut UserAccumulator> {
         let shard = self.shard_of(user);
         remut(&mut self.shards[shard]).users.get_mut(user)
     }
 
-    /// Routes and applies a single delta (single-owner access).
-    pub(crate) fn ingest(&mut self, user: &str, posts: &[Timestamp]) {
-        let shard = self.shard_of(user);
-        remut(&mut self.shards[shard]).ingest(user, posts);
-    }
-
-    /// Routes and retracts a single delta (single-owner access).
-    pub(crate) fn retract(&mut self, user: &str, posts: &[Timestamp]) {
-        let shard = self.shard_of(user);
-        remut(&mut self.shards[shard]).retract(user, posts);
-    }
-
-    /// Routes a batch of deltas to their shards (in arrival order), then
-    /// applies the shards concurrently on up to `threads` workers — each
-    /// worker owns a contiguous run of whole shards, so no two threads
-    /// ever touch the same accumulator. Each delta is absorbed, or
-    /// released when `retract` is set. Single-owner access: workers
-    /// split the mutexes mutably instead of locking them.
-    pub(crate) fn apply_batch(
-        &mut self,
-        deltas: &[(&str, &[Timestamp])],
-        retract: bool,
-        threads: usize,
-    ) {
-        let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, (user, _)) in deltas.iter().enumerate() {
-            routed[self.shard_of(user)].push(i);
-        }
-        let threads = clamped_threads(threads).min(self.shards.len());
-        if threads == 1 {
-            for (shard, idxs) in self.shards.iter_mut().zip(&routed) {
-                let shard = remut(shard);
-                for &i in idxs {
-                    let (user, posts) = deltas[i];
-                    shard.apply(user, posts, retract);
-                }
-            }
-            return;
-        }
-        let mut work: Vec<(&mut Shard, Vec<usize>)> =
-            self.shards.iter_mut().map(remut).zip(routed).collect();
-        let chunk_len = work.len().div_ceil(threads);
-        crossbeam::thread::scope(|scope| {
-            for chunk in work.chunks_mut(chunk_len) {
-                scope.spawn(move |_| {
-                    for (shard, idxs) in chunk.iter_mut() {
-                        for &i in idxs.iter() {
-                            let (user, posts) = deltas[i];
-                            shard.apply(user, posts, retract);
-                        }
-                    }
-                });
-            }
-        })
-        .expect("thread scope failed");
-    }
-
-    /// Multi-writer signed batch apply: routes the batch per shard, then
-    /// locks each touched shard **once**, applies its deltas in arrival
-    /// order, and releases before moving to the next — at most one shard
-    /// lock is held at a time, so writer/writer deadlock is impossible
-    /// and two writers whose batches route to disjoint shards never
-    /// contend. Retraction only commutes with ingestion of the *same*
-    /// posts when it runs after them (releasing an unseen post is a
-    /// skip, not a debt), so callers sequence a post's retraction after
-    /// the batch that ingested it; see `window.rs`.
+    /// Applies a batch of signed deltas: routes it per shard (in arrival
+    /// order), then locks each touched shard **once**, applies its deltas
+    /// in order, and releases it before moving on — at most one shard
+    /// lock is held at a time, so writer/writer deadlock is impossible and
+    /// two writers whose batches route to disjoint shards never contend.
+    /// Each delta is absorbed, or released when `retract` is set.
+    /// Retraction only commutes with ingestion of the *same* posts when it
+    /// runs after them (releasing an unseen post is a skip, not a debt),
+    /// so callers sequence a post's retraction after the batch that
+    /// ingested it; see `window.rs`.
     ///
-    /// Contended acquisitions are counted and their wait timed into the
-    /// `ingest.*` metrics when `obs` is attached; the uncontended fast
-    /// path costs one `try_lock`.
-    pub(crate) fn apply_batch_shared(
+    /// A shard that is locked when the batch reaches it is deferred until
+    /// the batch's free shards are done; only then does the batch block
+    /// on it. Those blocking acquisitions are counted and their wait timed
+    /// into the `ingest.*` metrics when `obs` is attached; the uncontended
+    /// fast path costs one `try_lock`. With `threads > 1` the touched
+    /// shards are split into contiguous runs, one per scoped worker
+    /// thread, so no two workers share a shard.
+    pub(crate) fn apply_batch(
         &self,
         deltas: &[(&str, &[Timestamp])],
         retract: bool,
+        threads: usize,
         obs: Option<&SharedIngestObs>,
     ) {
         let mut routed: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, (user, _)) in deltas.iter().enumerate() {
             routed[self.shard_of(user)].push(i);
         }
-        for (mutex, idxs) in self.shards.iter().zip(&routed) {
-            if idxs.is_empty() {
-                continue;
-            }
-            let mut shard = match mutex.try_lock() {
-                Ok(guard) => guard,
-                Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-                Err(std::sync::TryLockError::WouldBlock) => {
-                    let start = Instant::now();
-                    let guard = relock(mutex);
-                    if let Some(obs) = obs {
-                        obs.shard_contention.inc();
-                        obs.lock_wait.observe(start.elapsed().as_nanos() as u64);
-                    }
-                    guard
-                }
-            };
+        let work: Vec<(&Mutex<Shard>, Vec<usize>)> = self
+            .shards
+            .iter()
+            .zip(routed)
+            .filter(|(_, idxs)| !idxs.is_empty())
+            .collect();
+        let apply_to = |mut shard: MutexGuard<'_, Shard>, idxs: &[usize]| {
             for &i in idxs {
                 let (user, posts) = deltas[i];
                 shard.apply(user, posts, retract);
             }
+        };
+        let apply_run = |run: &[(&Mutex<Shard>, Vec<usize>)]| {
+            let mut busy = Vec::new();
+            for (mutex, idxs) in run {
+                match mutex.try_lock() {
+                    Ok(shard) => apply_to(shard, idxs),
+                    Err(TryLockError::Poisoned(e)) => apply_to(e.into_inner(), idxs),
+                    Err(TryLockError::WouldBlock) => busy.push((mutex, idxs)),
+                }
+            }
+            for (mutex, idxs) in busy {
+                apply_to(lock_observed(mutex, obs), idxs);
+            }
+        };
+        // `clamped_threads` asks the OS for the CPU count, which costs
+        // more than a small batch; writers pass 1 and skip it.
+        let threads = if threads > 1 {
+            clamped_threads(threads).min(work.len())
+        } else {
+            1
+        };
+        if threads <= 1 {
+            apply_run(&work);
+            return;
         }
+        let run_len = work.len().div_ceil(threads);
+        std::thread::scope(|scope| {
+            for run in work.chunks(run_len) {
+                scope.spawn(move || apply_run(run));
+            }
+        });
     }
 
     /// Drains every shard's dirty set into one globally id-sorted vector —
@@ -523,12 +484,6 @@ impl ShardSet {
     /// observability layer gauges.
     pub(crate) fn occupancy(&self) -> Vec<usize> {
         self.shards.iter().map(|s| relock(s).users.len()).collect()
-    }
-
-    /// Deltas ever applied per shard, in shard-index order.
-    #[cfg(test)]
-    pub(crate) fn shard_seqs(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| relock(s).seq).collect()
     }
 
     /// Visits every shard in index order with its id-sorted accumulator
@@ -607,66 +562,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_ingest_matches_serial_ingest() {
-        let deltas: Vec<(String, Vec<Timestamp>)> = (0..40)
-            .map(|i| {
-                (
-                    format!("u{:02}", i % 13),
-                    (0..3).map(|j| ts(i * 5 + j)).collect(),
-                )
+    /// One delta through the batch path, on the calling thread.
+    fn apply_one(set: &ShardSet, user: &str, posts: &[Timestamp], retract: bool) {
+        set.apply_batch(&[(user, posts)], retract, 1, None);
+    }
+
+    fn as_refs(v: &[(String, Vec<Timestamp>)]) -> Vec<(&str, &[Timestamp])> {
+        v.iter().map(|(u, p)| (u.as_str(), p.as_slice())).collect()
+    }
+
+    /// Every user's accumulator state, in id order.
+    type State = (String, Vec<i64>, Vec<u32>, [u32; BINS], usize);
+
+    fn states(set: &mut ShardSet) -> Vec<State> {
+        set.all_users_sorted()
+            .into_iter()
+            .map(|(id, a)| {
+                let (slots, counts) = (a.slots.clone(), a.slot_counts.clone());
+                (id.clone(), slots, counts, a.hour_counts, a.posts)
             })
-            .collect();
-        let borrowed: Vec<(&str, &[Timestamp])> = deltas
-            .iter()
-            .map(|(u, p)| (u.as_str(), p.as_slice()))
-            .collect();
-        let mut serial = ShardSet::new(4);
-        for &(user, posts) in &borrowed {
-            serial.ingest(user, posts);
-        }
-        for threads in [1usize, 2, 8] {
-            let mut batched = ShardSet::new(4);
-            batched.apply_batch(&borrowed, false, threads);
-            assert_eq!(batched.users_tracked(), serial.users_tracked());
-            assert_eq!(batched.posts_ingested(), serial.posts_ingested());
-            assert_eq!(batched.take_dirty_sorted(), {
-                let mut s = serial.clone();
-                s.take_dirty_sorted()
-            });
-            for user in (0..13).map(|i| format!("u{i:02}")) {
-                let a = batched.acc(&user).expect("user ingested").clone();
-                let b = serial.acc(&user).expect("user ingested");
-                assert_eq!(a.slots, b.slots);
-                assert_eq!(a.hour_counts, b.hour_counts);
-                assert_eq!(a.posts, b.posts);
-            }
-        }
+            .collect()
     }
 
     #[test]
-    fn shared_batch_ingest_matches_owned_batch_ingest() {
-        let deltas: Vec<(String, Vec<Timestamp>)> = (0..60)
-            .map(|i| {
-                (
-                    format!("w{:02}", i % 17),
-                    (0..2).map(|j| ts(i * 7 + j)).collect(),
-                )
-            })
+    fn batch_apply_matches_one_delta_per_call() {
+        // Repeated users, so deltas for one user land in one shard in
+        // arrival order; the retraction drops some posts and misses some.
+        let posts: Vec<(String, Vec<Timestamp>)> = (0..60)
+            .map(|i| (format!("u{:02}", i % 17), vec![ts(i * 5), ts(i * 5 + 2)]))
             .collect();
-        let borrowed: Vec<(&str, &[Timestamp])> = deltas
+        let dropped: Vec<(String, Vec<Timestamp>)> = posts
             .iter()
-            .map(|(u, p)| (u.as_str(), p.as_slice()))
+            .skip(13)
+            .step_by(2)
+            .map(|(u, p)| (u.clone(), vec![p[0], ts(9_999)]))
             .collect();
-        let mut owned = ShardSet::new(4);
-        owned.apply_batch(&borrowed, false, 1);
-        let shared = ShardSet::new(4);
-        shared.apply_batch_shared(&borrowed, false, None);
-        let mut shared = shared;
-        assert_eq!(shared.users_tracked(), owned.users_tracked());
-        assert_eq!(shared.posts_ingested(), owned.posts_ingested());
-        assert_eq!(shared.shard_seqs(), owned.shard_seqs());
-        assert_eq!(shared.take_dirty_sorted(), owned.take_dirty_sorted());
+        for shards in [1usize, 4, 16] {
+            let mut serial = ShardSet::new(shards);
+            for (u, p) in &posts {
+                apply_one(&serial, u, p, false);
+            }
+            let ingest_dirty = serial.take_dirty_sorted();
+            for (u, p) in &dropped {
+                apply_one(&serial, u, p, true);
+            }
+            let retract_dirty = serial.take_dirty_sorted();
+            let want = states(&mut serial);
+            for threads in [1usize, 2, 8] {
+                let at = format!("shards={shards} threads={threads}");
+                let mut batched = ShardSet::new(shards);
+                batched.apply_batch(&as_refs(&posts), false, threads, None);
+                assert_eq!(batched.take_dirty_sorted(), ingest_dirty, "{at}");
+                batched.apply_batch(&as_refs(&dropped), true, threads, None);
+                assert_eq!(batched.take_dirty_sorted(), retract_dirty, "{at}");
+                assert_eq!(states(&mut batched), want, "{at}");
+            }
+        }
     }
 
     #[test]
@@ -678,23 +629,20 @@ mod tests {
             .collect();
         let mut serial = ShardSet::new(4);
         for (u, p) in &deltas {
-            serial.ingest(u, p);
+            apply_one(&serial, u, p, false);
         }
-        let shared = ShardSet::new(4);
+        let mut shared = ShardSet::new(4);
         std::thread::scope(|scope| {
             for chunk in deltas.chunks(20) {
                 let shared = &shared;
                 scope.spawn(move || {
                     for (u, p) in chunk {
-                        let one = [(u.as_str(), p.as_slice())];
-                        shared.apply_batch_shared(&one, false, None);
+                        apply_one(shared, u, p, false);
                     }
                 });
             }
         });
-        let mut shared = shared;
         assert_eq!(shared.posts_ingested(), serial.posts_ingested());
-        assert_eq!(shared.shard_seqs(), serial.shard_seqs());
         assert_eq!(shared.take_dirty_sorted(), serial.take_dirty_sorted());
         let ids: Vec<String> = (0..23).map(|i| format!("c{i:02}")).collect();
         for id in &ids {
@@ -707,12 +655,45 @@ mod tests {
     }
 
     #[test]
+    fn a_held_shard_is_applied_after_the_free_ones() {
+        let set = ShardSet::new(4);
+        let users: Vec<String> = (0..40).map(|i| format!("h{i:02}")).collect();
+        let first = users
+            .iter()
+            .find(|u| set.shard_of(u) == 0)
+            .expect("shard 0 user");
+        let later = users
+            .iter()
+            .find(|u| set.shard_of(u) == 3)
+            .expect("shard 3 user");
+        let (p1, p2) = ([ts(1)], [ts(2)]);
+        let batch: [(&str, &[Timestamp]); 2] = [(first, &p1), (later, &p2)];
+        let held = relock(&set.shards[0]);
+        let applied_while_held = std::thread::scope(|scope| {
+            let writer = scope.spawn(|| set.apply_batch(&batch, false, 1, None));
+            // The batch reaches shard 0 first; it must pass over it and
+            // apply shard 3 while shard 0 is still held.
+            let deadline = Instant::now() + std::time::Duration::from_secs(10);
+            let mut applied = false;
+            while !applied && Instant::now() < deadline {
+                applied = relock(&set.shards[3]).users.contains_key(later.as_str());
+                std::thread::yield_now();
+            }
+            drop(held);
+            writer.join().expect("writer thread");
+            applied
+        });
+        assert!(applied_while_held, "the free shard waited for the held one");
+        assert_eq!(set.users_tracked(), 2, "the held shard is applied after");
+    }
+
+    #[test]
     fn dirty_drain_is_globally_sorted_for_any_shard_count() {
         for shards in [1usize, 4, 16] {
             let mut set = ShardSet::new(shards);
             // Deliberately unsorted arrival order.
             for user in ["zeta", "alpha", "mike", "beta", "zeta"] {
-                set.ingest(user, &[ts(1)]);
+                apply_one(&set, user, &[ts(1)], false);
             }
             assert_eq!(set.dirty_len(), 4);
             let drained = set.take_dirty_sorted();
@@ -817,14 +798,14 @@ mod tests {
                 .map(|i| (format!("u{i:02}"), vec![ts(i * 3 + 1), ts(i * 100 + 40)]))
                 .collect();
             for (u, p) in keep.iter().chain(&drop) {
-                set.ingest(u, p);
+                apply_one(&set, u, p, false);
             }
             for (u, p) in &drop {
-                set.retract(u, p);
+                apply_one(&set, u, p, true);
             }
             let mut fresh = ShardSet::new(shards);
             for (u, p) in &keep {
-                fresh.ingest(u, p);
+                apply_one(&fresh, u, p, false);
             }
             assert_eq!(set.posts_ingested(), fresh.posts_ingested());
             for (u, _) in &keep {
@@ -841,45 +822,21 @@ mod tests {
     #[test]
     fn retract_of_unknown_user_changes_nothing() {
         let mut set = ShardSet::new(4);
-        set.ingest("known", &[ts(1)]);
+        apply_one(&set, "known", &[ts(1)], false);
         set.take_dirty_sorted();
-        set.retract("ghost", &[ts(1)]);
-        // A retraction that removed nothing must not dirty the user or
-        // bump the shard sequence.
-        set.retract("known", &[ts(999)]);
+        apply_one(&set, "ghost", &[ts(1)], true);
+        // A retraction that removed nothing must not dirty the user.
+        apply_one(&set, "known", &[ts(999)], true);
         assert_eq!(set.dirty_len(), 0);
-        assert_eq!(set.shard_seqs().iter().sum::<u64>(), 1);
         assert_eq!(set.users_tracked(), 1);
     }
 
     #[test]
-    fn signed_shared_apply_matches_owned_apply() {
-        let posts: Vec<(String, Vec<Timestamp>)> = (0..40)
-            .map(|i| (format!("r{:02}", i % 11), vec![ts(i), ts(i + 2)]))
-            .collect();
-        let dropped: Vec<(String, Vec<Timestamp>)> = posts.iter().skip(13).cloned().collect();
-        fn as_refs(v: &[(String, Vec<Timestamp>)]) -> Vec<(&str, &[Timestamp])> {
-            v.iter().map(|(u, p)| (u.as_str(), p.as_slice())).collect()
-        }
-        let mut owned = ShardSet::new(4);
-        owned.apply_batch(&as_refs(&posts), false, 2);
-        owned.apply_batch(&as_refs(&dropped), true, 2);
-        let shared = ShardSet::new(4);
-        shared.apply_batch_shared(&as_refs(&posts), false, None);
-        shared.apply_batch_shared(&as_refs(&dropped), true, None);
-        let mut shared = shared;
-        assert_eq!(shared.posts_ingested(), owned.posts_ingested());
-        assert_eq!(shared.shard_seqs(), owned.shard_seqs());
-        assert_eq!(shared.take_dirty_sorted(), owned.take_dirty_sorted());
-    }
-
-    #[test]
     fn empty_delta_is_ignored() {
-        let mut set = ShardSet::new(3);
-        set.ingest("ghost", &[]);
+        let set = ShardSet::new(3);
+        apply_one(&set, "ghost", &[], false);
         assert_eq!(set.users_tracked(), 0);
         assert_eq!(set.dirty_len(), 0);
-        assert_eq!(set.shard_seqs(), vec![0, 0, 0]);
     }
 
     #[test]

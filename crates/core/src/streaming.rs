@@ -1,21 +1,24 @@
 //! Incremental (streaming) crowd geolocation — re-analysis cost
 //! proportional to *what changed*, not to crowd size.
 //!
-//! The [`StreamingPipeline`] is the workspace's one analysis engine:
-//! [`GeolocationPipeline::analyze`] is now literally "ingest everything
-//! into a fresh streaming engine, snapshot once", so the batch and
-//! incremental paths cannot drift apart. Internally it keeps per-user
-//! **integer accumulators** partitioned across hash shards:
+//! [`StreamingPipeline`] is the crate-private state behind the one public
+//! engine, [`ConcurrentStreamingPipeline`](crate::ConcurrentStreamingPipeline):
+//! writers apply signed delta batches through a shared reference
+//! ([`apply`](StreamingPipeline::apply)), and a publish takes the write
+//! gate for a [`snapshot_with_coverage`](StreamingPipeline::snapshot_with_coverage).
+//! [`GeolocationPipeline::analyze`] is "apply every trace as one batch to
+//! a fresh engine, snapshot once", so the batch and incremental paths
+//! cannot drift apart. Internally the engine keeps per-user **integer
+//! accumulators** partitioned across hash shards:
 //!
 //! * each user's active slots are a sorted vector of `day·24 + hour` keys
-//!   plus a 24-bin count of active slots per hour, so
-//!   [`ingest`](StreamingPipeline::ingest) is a pure delta update that
-//!   never re-scans history;
+//!   plus a 24-bin count of active slots per hour, so a delta is a pure
+//!   update that never re-scans history;
 //! * accumulators live in a [`ShardSet`] — N shards keyed by a stable
-//!   hash of the user id, each with its own dirty set — so bulk deltas
-//!   ([`ingest_set`](StreamingPipeline::ingest_set)) are routed once and
-//!   applied **concurrently**, one worker per run of shards, with no
-//!   locks (see `shard.rs` for the determinism argument);
+//!   hash of the user id, each with its own dirty set and lock — so a
+//!   batch is routed once and each touched shard locked once; batch
+//!   analysis spreads the shards over worker threads (see `shard.rs` for
+//!   the determinism argument);
 //! * only dirty users are re-profiled, and their CDFs go through a
 //!   **placement cache** (quantized CDF → zone + EMD + flatness) on the
 //!   long-lived [`PlacementEngine`], so a profile shape seen before —
@@ -23,23 +26,20 @@
 //! * the placement histogram is maintained as integer zone counts,
 //!   updated by subtracting a re-placed user's old zone and adding the
 //!   new one;
-//! * the mixture refit is cached on the zone counts and, in
-//!   [`RefitMode::WarmStart`], warm-started from the previous snapshot's
-//!   components instead of quantile/peak re-initialization.
+//! * the mixture fit is cached on the zone counts and reused outright
+//!   while they do not change.
 //!
 //! # The identity guarantee
 //!
-//! In the default [`RefitMode::Exact`],
-//! [`snapshot`](StreamingPipeline::snapshot) is **byte-identical**
-//! (serialized through `serde_json`) to a from-scratch analysis of the
-//! same cumulative traces, for any thread count, any shard count, and
-//! with the placement cache on or off. Four choices make that exact
-//! rather than approximate:
+//! A snapshot is **byte-identical** (serialized through `serde_json`) to
+//! a from-scratch analysis of the same cumulative traces, for any thread
+//! count, any shard count, and with the placement cache on or off. Four
+//! choices make that exact rather than approximate:
 //!
 //! 1. All per-user state is integral (slot keys, hour counts, post
 //!    counts), so delta updates commute with batching exactly, and
 //!    shards merge at refresh time by draining dirty ids in globally
-//!    sorted order — the order a single map would have produced.
+//!    sorted order — the same order for every shard count.
 //! 2. The placement cache is probed sequentially and keyed on the
 //!    full-precision CDF bits, so a hit returns a value computed from a
 //!    bit-identical input (and hit/miss counts are thread-invariant).
@@ -50,20 +50,13 @@
 //! 4. The zone-count histogram goes through
 //!    [`PlacementHistogram::from_zone_counts`], which is float-identical
 //!    to `from_placements`, and the fits are pure functions of that
-//!    histogram (cold fits in `Exact` mode, reused outright when the zone
-//!    counts did not change).
-//!
-//! [`RefitMode::WarmStart`] trades the fit-level guarantee for speed: EM
-//! is seeded from the previous components
-//! ([`MultiRegionFit::fit_warm`]), falling back to a cold fit when the
-//! histogram's L1 shift since the last fit exceeds the configured
-//! threshold. Everything upstream of the fit (profiles, placements,
-//! histogram) remains exact.
+//!    histogram (cold fits, reused outright when the zone counts did not
+//!    change).
 
 use std::sync::Arc;
 
 use crowdtz_stats::{Distribution24, Histogram24, BINS};
-use crowdtz_time::{Timestamp, TraceSet};
+use crowdtz_time::Timestamp;
 
 use crate::crowd::CrowdProfile;
 use crate::engine::{chunked_map, PlacementCache, PlacementEngine};
@@ -75,38 +68,9 @@ use crate::rows::Rows;
 use crate::shard::{ShardSet, SharedIngestObs, UserAccumulator, UserAnalysis};
 use crate::single::{MultiRegionFit, SingleRegionFit};
 
-/// How [`StreamingPipeline::snapshot`] refits the mixture when the
-/// placement histogram changed since the last snapshot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RefitMode {
-    /// Cold quantile/peak-initialized EM, exactly as the batch pipeline
-    /// runs it. Snapshots are byte-identical to
-    /// [`GeolocationPipeline::analyze`]. This is the default: on a 24-bin
-    /// histogram a cold fit is cheap, so exactness costs little.
-    Exact,
-    /// EM warm-started from the previous snapshot's components
-    /// ([`MultiRegionFit::fit_warm`]). Falls back to a cold fit when the
-    /// histogram's L1 distance to the last-fitted histogram exceeds
-    /// `max_shift` (the previous components then say little about the new
-    /// crowd), or when no previous fit exists.
-    WarmStart {
-        /// Maximum `Σ|Δfraction|` before the warm start is abandoned for
-        /// a cold fit; [`RefitMode::warm`] uses `0.1`.
-        max_shift: f64,
-    },
-}
-
-impl RefitMode {
-    /// [`RefitMode::WarmStart`] with the default `max_shift` of `0.1`
-    /// (10% of the crowd re-placed since the last fit).
-    pub fn warm() -> RefitMode {
-        RefitMode::WarmStart { max_shift: 0.1 }
-    }
-}
-
 /// Observability handles, created once at construction so the per-post
 /// ingest path pays one atomic add, not a registry lookup.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct StreamObs {
     observer: Arc<crowdtz_obs::Observer>,
     /// `streaming.posts_ingested`: posts across all deltas.
@@ -146,41 +110,19 @@ impl StreamObs {
 /// The last mixture fit, keyed by the exact zone counts it was computed
 /// from: identical counts → identical histogram → the cached fit *is* the
 /// refit, bit for bit.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FitCache {
     zone_counts: Vec<usize>,
-    fractions: Vec<f64>,
     single: SingleRegionFit,
     multi: MultiRegionFit,
 }
 
-/// Incremental version of [`GeolocationPipeline`]: ingest post deltas as
-/// they arrive, snapshot on demand.
-///
-/// ```
-/// use crowdtz_core::{GeolocationPipeline, StreamingPipeline};
-/// use crowdtz_time::Timestamp;
-///
-/// let pipeline = GeolocationPipeline::default().min_posts(1).threads(1);
-/// let mut stream = StreamingPipeline::new(pipeline.clone());
-/// let mut traces = crowdtz_time::TraceSet::new();
-/// for day in 0..40i64 {
-///     let post = Timestamp::from_secs(day * 86_400 + 20 * 3_600);
-///     stream.ingest("u", &[post]);        // delta update
-///     traces.record("u", post);           // cumulative mirror
-/// }
-/// let incremental = stream.snapshot().unwrap();
-/// let batch = pipeline.analyze(&traces).unwrap();
-/// assert_eq!(
-///     serde_json::to_string(&incremental).unwrap(),
-///     serde_json::to_string(&batch).unwrap(),
-/// );
-/// ```
-#[derive(Debug, Clone)]
-pub struct StreamingPipeline {
+/// Incremental version of [`GeolocationPipeline`]: apply post deltas as
+/// they arrive, snapshot on demand. See the module docs.
+#[derive(Debug)]
+pub(crate) struct StreamingPipeline {
     pipeline: GeolocationPipeline,
     engine: PlacementEngine,
-    refit: RefitMode,
     /// Hash-partitioned per-user accumulators + dirty sets
     /// ([`GeolocationPipeline::shards`] sets the partition count).
     shards: ShardSet,
@@ -211,7 +153,7 @@ impl StreamingPipeline {
     /// activity threshold, polishing flag, component cap, thread count,
     /// shard count, and placement-cache toggle all carry over; the
     /// placement engine is built once and reused across every refresh.
-    pub fn new(pipeline: GeolocationPipeline) -> StreamingPipeline {
+    pub(crate) fn new(pipeline: GeolocationPipeline) -> StreamingPipeline {
         let grid = pipeline.effective_grid();
         let engine = PlacementEngine::with_grid(pipeline.generic(), grid);
         let shards = ShardSet::new(pipeline.effective_shards());
@@ -225,7 +167,6 @@ impl StreamingPipeline {
             obs,
             shards,
             cache,
-            refit: RefitMode::Exact,
             kept_profiles: Rows::new(),
             kept_placements: Rows::new(),
             eligible: 0,
@@ -234,47 +175,30 @@ impl StreamingPipeline {
         }
     }
 
-    /// Sets the refit policy (default [`RefitMode::Exact`]).
-    #[must_use]
-    pub fn refit_mode(mut self, refit: RefitMode) -> StreamingPipeline {
-        self.refit = refit;
-        self
-    }
-
-    /// The wrapped batch pipeline configuration.
-    pub fn pipeline(&self) -> &GeolocationPipeline {
-        &self.pipeline
-    }
-
     /// Number of users ever ingested.
-    pub fn users_tracked(&self) -> usize {
+    pub(crate) fn users_tracked(&self) -> usize {
         self.shards.users_tracked()
     }
 
     /// Users whose profiles changed since the last refresh — the work the
-    /// next [`snapshot`](StreamingPipeline::snapshot) will actually do.
-    pub fn dirty_users(&self) -> usize {
+    /// next snapshot will actually do.
+    pub(crate) fn dirty_users(&self) -> usize {
         self.shards.dirty_len()
     }
 
     /// Total posts ingested across all users (duplicates included).
-    pub fn posts_ingested(&self) -> usize {
+    pub(crate) fn posts_ingested(&self) -> usize {
         self.shards.posts_ingested()
     }
 
     /// Number of hash shards the accumulator store is partitioned into.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.shard_count()
-    }
-
-    /// Users per shard, in shard-index order.
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards.occupancy()
     }
 
     /// Lifetime placement-cache `(hits, misses)`. With the cache disabled
     /// every resolution counts as a miss.
-    pub fn cache_stats(&self) -> (u64, u64) {
+    pub(crate) fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
     }
 
@@ -293,8 +217,8 @@ impl StreamingPipeline {
     /// last step of recovering a durable snapshot. The kept vectors are
     /// rebuilt in global user-id order, exactly the order incremental
     /// refreshes maintain, so a recovered engine continues byte-identical
-    /// to one that never restarted. The fit cache is dropped: in
-    /// [`RefitMode::Exact`] a cold refit is bit-identical anyway.
+    /// to one that never restarted. The fit cache is dropped: a cold
+    /// refit is bit-identical anyway.
     pub(crate) fn rebuild_derived_state(&mut self) {
         let grid = self.engine.grid();
         let mut profiles = Rows::new();
@@ -319,64 +243,24 @@ impl StreamingPipeline {
         self.fit_cache = None;
     }
 
-    /// Ingests new posts for one user — a pure delta update.
-    ///
-    /// Timestamps are read in UTC (the anonymous-crowd convention the
-    /// batch pipeline uses); duplicates and out-of-order arrivals are
-    /// fine, and re-ingesting a timestamp whose (day, hour) slot is
-    /// already active only bumps the post count — exactly what the batch
-    /// rebuild would conclude. Empty deltas are ignored.
-    ///
-    /// Cost: `O(k log k + s)` for `k` new posts against `s` existing
-    /// slots, independent of crowd size and of total history length.
-    pub fn ingest(&mut self, user: &str, posts: &[Timestamp]) {
-        if posts.is_empty() {
-            return;
-        }
-        self.count_deltas(&[(user, posts)], false);
-        self.shards.ingest(user, posts);
-    }
-
-    /// Ingests every trace of a set (e.g. a first full crawl before
-    /// incremental monitoring takes over) — one delta per non-empty
-    /// trace, routed to the shards once and applied concurrently on the
-    /// pipeline's worker threads.
-    pub fn ingest_set(&mut self, traces: &TraceSet) {
-        let deltas: Vec<(&str, &[Timestamp])> = traces
-            .iter()
-            .map(|t| (t.id(), t.posts()))
-            .filter(|(_, p)| !p.is_empty())
-            .collect();
-        if deltas.is_empty() {
-            return;
-        }
-        self.count_deltas(&deltas, false);
-        self.shards
-            .apply_batch(&deltas, false, self.pipeline.effective_threads());
-    }
-
-    /// Retracts posts for one user — the signed inverse of
-    /// [`ingest`](StreamingPipeline::ingest). The accumulator's slot
-    /// refcounts are decremented, slots reaching zero disappear (with
-    /// their hour-count contribution), and a user falling below the
-    /// activity threshold drops out of the analysis at the next refresh —
-    /// the snapshot afterwards is byte-identical to an engine that never
-    /// saw the retracted posts. Retracting posts the engine never saw is
-    /// a no-op, so retraction must be sequenced after the ingest that
-    /// delivered the posts (the windowed pipeline guarantees this).
-    pub fn retract(&mut self, user: &str, posts: &[Timestamp]) {
-        if posts.is_empty() {
-            return;
-        }
-        self.count_deltas(&[(user, posts)], true);
-        self.shards.retract(user, posts);
-    }
-
     /// Applies a batch of signed deltas through a **shared** reference —
-    /// the concurrent engine's writer path (`concurrent.rs`).
+    /// the one write path, for the concurrent engine's writers and for
+    /// batch analysis alike.
     ///
-    /// The batch locks one shard at a time
-    /// ([`ShardSet::apply_batch_shared`]) and every metric update is an
+    /// Each delta is absorbed into the user's accumulator, or released
+    /// when `retract` is set. Timestamps are read in UTC (the
+    /// anonymous-crowd convention the batch pipeline uses); duplicates and
+    /// out-of-order arrivals are fine, and a timestamp whose (day, hour)
+    /// slot is already active only bumps the slot's post count — exactly
+    /// what a batch rebuild would conclude. Releasing posts the engine
+    /// never saw is a no-op, and a user falling below the activity
+    /// threshold drops out of the analysis at the next refresh, so the
+    /// snapshot afterwards is byte-identical to an engine that never saw
+    /// the retracted posts. Cost per delta: `O(k log k + s)` for `k` posts
+    /// against `s` existing slots, independent of crowd size.
+    ///
+    /// The batch locks one shard at a time ([`ShardSet::apply_batch`],
+    /// spread over `threads` workers) and every metric update is an
     /// atomic add, so any number of writer threads may call this at once;
     /// ingest deltas commute (see `shard.rs`), so the final accumulator
     /// state — and with it every later snapshot — is identical to a
@@ -384,21 +268,24 @@ impl StreamingPipeline {
     /// only commutes with the ingest of the *same* posts when it runs
     /// after it, so callers sequence a post's retraction after the batch
     /// that ingested it.
-    pub(crate) fn apply_deltas_shared(
+    pub(crate) fn apply(
         &self,
         deltas: &[(&str, &[Timestamp])],
         retract: bool,
+        threads: usize,
         ingest_obs: Option<&SharedIngestObs>,
     ) {
         if deltas.is_empty() {
             return;
         }
         self.count_deltas(deltas, retract);
-        self.shards.apply_batch_shared(deltas, retract, ingest_obs);
+        self.shards
+            .apply_batch(deltas, retract, threads, ingest_obs);
     }
 
     /// Counts a batch of signed deltas into the stream metrics (totals
-    /// are order-free, so one add per batch).
+    /// are order-free, so one add per batch). Empty deltas change nothing
+    /// and are not counted.
     fn count_deltas(&self, deltas: &[(&str, &[Timestamp])], retract: bool) {
         if let Some(obs) = &self.obs {
             let posts: usize = deltas.iter().map(|(_, p)| p.len()).sum();
@@ -407,7 +294,8 @@ impl StreamingPipeline {
             } else {
                 obs.posts.add(posts as u64);
             }
-            obs.deltas.add(deltas.len() as u64);
+            let non_empty = deltas.iter().filter(|(_, p)| !p.is_empty()).count();
+            obs.deltas.add(non_empty as u64);
         }
     }
 
@@ -557,33 +445,22 @@ impl StreamingPipeline {
         Some((distribution, cdf))
     }
 
-    /// Produces the current [`GeolocationReport`], doing work proportional
-    /// to the dirty set (plus one cheap O(24·n) reduction). The report
-    /// shares the kept profile/placement rows with the engine chunk by
-    /// chunk — assembling it copies nothing per user, and holding an old
-    /// report costs the next refresh one chunk copy per dirty user at
-    /// most (see [`Rows`]).
-    ///
-    /// In [`RefitMode::Exact`] the report is byte-identical to
-    /// [`GeolocationPipeline::analyze`] over the cumulative traces.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::EmptyCrowd`] when no user survives the filters.
-    /// * [`CoreError::Stats`] when a fit fails.
-    pub fn snapshot(&mut self) -> Result<GeolocationReport, CoreError> {
-        self.snapshot_with_coverage(1.0)
-    }
-
-    /// [`snapshot`](StreamingPipeline::snapshot) for a crawl that covered
-    /// only a `coverage` fraction of the forum — the streaming analogue of
-    /// [`GeolocationPipeline::analyze_partial`].
+    /// Produces the current [`GeolocationReport`] for a crawl that
+    /// covered a `coverage` fraction of the forum (1.0 for a complete
+    /// one), doing work proportional to the dirty set (plus one cheap
+    /// O(24·n) reduction). The report shares the kept profile/placement
+    /// rows with the engine chunk by chunk — assembling it copies nothing
+    /// per user, and holding an old report costs the next refresh one
+    /// chunk copy per dirty user at most (see [`Rows`]). It is
+    /// byte-identical to [`GeolocationPipeline::analyze_partial`] over the
+    /// cumulative traces.
     ///
     /// # Errors
     ///
     /// * [`CoreError::InvalidCoverage`] when `coverage` is outside `(0, 1]`.
-    /// * Everything [`snapshot`](StreamingPipeline::snapshot) can return.
-    pub fn snapshot_with_coverage(
+    /// * [`CoreError::EmptyCrowd`] when no user survives the filters.
+    /// * [`CoreError::Stats`] when a fit fails.
+    pub(crate) fn snapshot_with_coverage(
         &mut self,
         coverage: f64,
     ) -> Result<GeolocationReport, CoreError> {
@@ -622,9 +499,8 @@ impl StreamingPipeline {
         ))
     }
 
-    /// The fit stage: cache hit when the zone counts are unchanged (the
-    /// fits are pure functions of the histogram), otherwise cold or
-    /// warm-started per [`RefitMode`].
+    /// The fit stage: a cache hit when the zone counts are unchanged (the
+    /// fits are pure functions of the histogram), otherwise a cold fit.
     fn refit(
         &mut self,
         histogram: &PlacementHistogram,
@@ -634,19 +510,10 @@ impl StreamingPipeline {
                 return Ok((cache.single.clone(), cache.multi.clone()));
             }
         }
-        let max_components = self.pipeline.max_components_limit();
         let single = SingleRegionFit::fit(histogram)?;
-        let multi = match (self.refit, &self.fit_cache) {
-            (RefitMode::WarmStart { max_shift }, Some(cache))
-                if l1_shift(&cache.fractions, histogram.fractions()) <= max_shift =>
-            {
-                MultiRegionFit::fit_warm(histogram, max_components, cache.multi.mixture())?
-            }
-            _ => MultiRegionFit::fit(histogram, max_components)?,
-        };
+        let multi = MultiRegionFit::fit(histogram, self.pipeline.max_components_limit())?;
         self.fit_cache = Some(FitCache {
             zone_counts: self.zone_counts.clone(),
-            fractions: histogram.fractions().to_vec(),
             single: single.clone(),
             multi: multi.clone(),
         });
@@ -654,16 +521,31 @@ impl StreamingPipeline {
     }
 }
 
-/// `Σ|a − b|` over the zone fractions.
-fn l1_shift(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crowdtz_synth::PopulationSpec;
-    use crowdtz_time::{RegionDb, UserTrace};
+    use crowdtz_time::{RegionDb, TraceSet, UserTrace};
+
+    fn ingest(stream: &StreamingPipeline, user: &str, posts: &[Timestamp]) {
+        stream.apply(&[(user, posts)], false, 1, None);
+    }
+
+    fn retract(stream: &StreamingPipeline, user: &str, posts: &[Timestamp]) {
+        stream.apply(&[(user, posts)], true, 1, None);
+    }
+
+    /// Every trace as one batch, spread over two workers — what
+    /// [`GeolocationPipeline::analyze`] does.
+    fn ingest_all(stream: &StreamingPipeline, traces: &TraceSet) {
+        let deltas: Vec<(&str, &[Timestamp])> =
+            traces.iter().map(|t| (t.id(), t.posts())).collect();
+        stream.apply(&deltas, false, 2, None);
+    }
+
+    fn snapshot(stream: &mut StreamingPipeline) -> Result<GeolocationReport, CoreError> {
+        stream.snapshot_with_coverage(1.0)
+    }
 
     fn crowd(region: &str, users: usize, seed: u64) -> TraceSet {
         let db = RegionDb::extended();
@@ -683,8 +565,8 @@ mod tests {
         let traces = crowd("japan", 40, 7);
         let pipeline = GeolocationPipeline::default().threads(1);
         let mut stream = StreamingPipeline::new(pipeline.clone());
-        stream.ingest_set(&traces);
-        let inc = stream.snapshot().unwrap();
+        ingest_all(&stream, &traces);
+        let inc = snapshot(&mut stream).unwrap();
         let batch = pipeline.analyze(&traces).unwrap();
         assert_eq!(report_json(&inc), report_json(&batch));
     }
@@ -702,12 +584,12 @@ mod tests {
             for t in traces.iter() {
                 let posts = t.posts();
                 let chunk = &posts[posts.len() * round / 3..posts.len() * (round + 1) / 3];
-                stream.ingest(t.id(), chunk);
+                ingest(&stream, t.id(), chunk);
                 for &p in chunk {
                     cumulative.record(t.id(), p);
                 }
             }
-            let inc = stream.snapshot().unwrap();
+            let inc = snapshot(&mut stream).unwrap();
             let batch = pipeline.analyze(&cumulative).unwrap();
             assert_eq!(report_json(&inc), report_json(&batch), "round {round}");
         }
@@ -718,15 +600,15 @@ mod tests {
     fn dirty_set_shrinks_to_what_changed() {
         let traces = crowd("france", 20, 9);
         let mut stream = StreamingPipeline::new(GeolocationPipeline::default().threads(1));
-        stream.ingest_set(&traces);
+        ingest_all(&stream, &traces);
         assert_eq!(stream.dirty_users(), stream.users_tracked());
-        stream.snapshot().unwrap();
+        snapshot(&mut stream).unwrap();
         assert_eq!(stream.dirty_users(), 0);
         // Touch one user → exactly one dirty.
         let id = traces.iter().next().unwrap().id().to_owned();
-        stream.ingest(&id, &[Timestamp::from_secs(123_456_789)]);
+        ingest(&stream, &id, &[Timestamp::from_secs(123_456_789)]);
         assert_eq!(stream.dirty_users(), 1);
-        stream.snapshot().unwrap();
+        snapshot(&mut stream).unwrap();
         assert_eq!(stream.dirty_users(), 0);
     }
 
@@ -736,13 +618,13 @@ mod tests {
         let mut stream = StreamingPipeline::new(pipeline.clone());
         let t0 = Timestamp::from_secs(1_450_000_000);
         // Same slot three times, across two deltas, out of order.
-        stream.ingest("u", &[t0 + 100, t0]);
-        stream.ingest("u", &[t0 + 50]);
+        ingest(&stream, "u", &[t0 + 100, t0]);
+        ingest(&stream, "u", &[t0 + 50]);
         let mut traces = TraceSet::new();
         for &ts in &[t0 + 100, t0, t0 + 50] {
             traces.record("u", ts);
         }
-        let inc = stream.snapshot().unwrap();
+        let inc = snapshot(&mut stream).unwrap();
         let batch = pipeline.analyze(&traces).unwrap();
         assert_eq!(report_json(&inc), report_json(&batch));
         assert_eq!(inc.profiles()[0].active_slots(), 1);
@@ -752,13 +634,13 @@ mod tests {
     #[test]
     fn empty_delta_is_ignored_and_empty_crowd_errors() {
         let mut stream = StreamingPipeline::new(GeolocationPipeline::default());
-        stream.ingest("ghost", &[]);
+        ingest(&stream, "ghost", &[]);
         assert_eq!(stream.users_tracked(), 0);
-        assert!(matches!(stream.snapshot(), Err(CoreError::EmptyCrowd)));
+        assert!(matches!(snapshot(&mut stream), Err(CoreError::EmptyCrowd)));
         // A sub-threshold user is tracked but not classified.
-        stream.ingest("quiet", &[Timestamp::from_secs(0)]);
+        ingest(&stream, "quiet", &[Timestamp::from_secs(0)]);
         assert_eq!(stream.users_tracked(), 1);
-        assert!(matches!(stream.snapshot(), Err(CoreError::EmptyCrowd)));
+        assert!(matches!(snapshot(&mut stream), Err(CoreError::EmptyCrowd)));
     }
 
     #[test]
@@ -777,7 +659,7 @@ mod tests {
         let traces = crowd("japan", 30, 3);
         let pipeline = GeolocationPipeline::default().threads(1);
         let mut stream = StreamingPipeline::new(pipeline.clone());
-        stream.ingest_set(&traces);
+        ingest_all(&stream, &traces);
         let inc = stream.snapshot_with_coverage(0.5).unwrap();
         let batch = pipeline.analyze_partial(&traces, 0.5).unwrap();
         assert_eq!(report_json(&inc), report_json(&batch));
@@ -788,76 +670,26 @@ mod tests {
     fn unchanged_crowd_reuses_the_fit_cache() {
         let traces = crowd("malaysia", 30, 11);
         let mut stream = StreamingPipeline::new(GeolocationPipeline::default().threads(1));
-        stream.ingest_set(&traces);
-        let a = stream.snapshot().unwrap();
+        ingest_all(&stream, &traces);
+        let a = snapshot(&mut stream).unwrap();
         // No ingest between snapshots: zone counts unchanged, cache hit.
-        let b = stream.snapshot().unwrap();
+        let b = snapshot(&mut stream).unwrap();
         assert_eq!(report_json(&a), report_json(&b));
     }
 
     #[test]
-    fn warm_start_stays_close_to_exact() {
-        let traces = crowd("japan", 60, 13);
-        let pipeline = GeolocationPipeline::default().threads(1);
-        let mut exact = StreamingPipeline::new(pipeline.clone());
-        let mut warm = StreamingPipeline::new(pipeline.clone()).refit_mode(RefitMode::warm());
-        // Prime both with most of the crowd, then trickle the rest.
-        let all: Vec<&UserTrace> = traces.iter().collect();
-        for t in &all[..50] {
-            exact.ingest(t.id(), t.posts());
-            warm.ingest(t.id(), t.posts());
-        }
-        exact.snapshot().unwrap();
-        warm.snapshot().unwrap();
-        for t in &all[50..] {
-            exact.ingest(t.id(), t.posts());
-            warm.ingest(t.id(), t.posts());
-        }
-        let e = exact.snapshot().unwrap();
-        let w = warm.snapshot().unwrap();
-        // Everything upstream of the fit is still exact.
-        assert_eq!(
-            serde_json::to_string(e.placements()).unwrap(),
-            serde_json::to_string(w.placements()).unwrap()
-        );
-        assert_eq!(e.histogram().fractions(), w.histogram().fractions());
-        // The warm-started mixture lands on the same region.
-        let em = e.mixture().dominant().unwrap().mean;
-        let wm = w.mixture().dominant().unwrap().mean;
-        assert!((em - wm).abs() < 0.2, "exact {em} warm {wm}");
-    }
-
-    #[test]
-    fn warm_start_falls_back_to_cold_on_large_shift() {
-        let pipeline = GeolocationPipeline::default().threads(1);
-        let mut warm = StreamingPipeline::new(pipeline.clone())
-            .refit_mode(RefitMode::WarmStart { max_shift: 0.05 });
-        warm.ingest_set(&crowd("japan", 40, 17));
-        warm.snapshot().unwrap();
-        // A whole second crowd arrives: the histogram shifts far beyond
-        // max_shift, so the refit must run cold — and therefore match the
-        // exact-mode snapshot bit for bit.
-        let second = crowd("brazil", 40, 19);
-        warm.ingest_set(&second);
-        let mut exact = StreamingPipeline::new(pipeline);
-        exact.ingest_set(&crowd("japan", 40, 17));
-        exact.ingest_set(&second);
-        assert_eq!(
-            report_json(&warm.snapshot().unwrap()),
-            report_json(&exact.snapshot().unwrap())
-        );
-    }
-
-    #[test]
     fn accessors_report_progress() {
-        let mut stream = StreamingPipeline::new(GeolocationPipeline::default().min_posts(1));
+        let stream = StreamingPipeline::new(GeolocationPipeline::default().min_posts(1));
         assert_eq!(stream.users_tracked(), 0);
         assert_eq!(stream.posts_ingested(), 0);
-        stream.ingest("a", &[Timestamp::from_secs(0), Timestamp::from_secs(3_600)]);
+        ingest(
+            &stream,
+            "a",
+            &[Timestamp::from_secs(0), Timestamp::from_secs(3_600)],
+        );
         assert_eq!(stream.users_tracked(), 1);
         assert_eq!(stream.posts_ingested(), 2);
         assert_eq!(stream.dirty_users(), 1);
-        assert!(stream.pipeline().min_posts_threshold() == 1);
     }
 
     #[test]
@@ -865,22 +697,22 @@ mod tests {
         let traces = crowd("france", 25, 21);
         let baseline = {
             let mut s = StreamingPipeline::new(GeolocationPipeline::default().shards(1).threads(2));
-            s.ingest_set(&traces);
-            report_json(&s.snapshot().unwrap())
+            ingest_all(&s, &traces);
+            report_json(&snapshot(&mut s).unwrap())
         };
         for shards in [4usize, 16] {
             let mut s =
                 StreamingPipeline::new(GeolocationPipeline::default().shards(shards).threads(2));
             assert_eq!(s.shard_count(), shards);
-            s.ingest_set(&traces);
-            assert_eq!(s.shard_occupancy().len(), shards);
+            ingest_all(&s, &traces);
+            assert_eq!(s.shards.occupancy().len(), shards);
             assert_eq!(
-                s.shard_occupancy().iter().sum::<usize>(),
+                s.shards.occupancy().iter().sum::<usize>(),
                 s.users_tracked(),
                 "occupancy must partition the crowd"
             );
             assert_eq!(
-                report_json(&s.snapshot().unwrap()),
+                report_json(&snapshot(&mut s).unwrap()),
                 baseline,
                 "{shards} shards"
             );
@@ -888,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_set_matches_per_observation_ingest() {
+    fn one_batch_matches_per_observation_deltas() {
         let traces = crowd("italy", 15, 23);
         let mut batch: Vec<(String, Timestamp)> = Vec::new();
         for t in traces.iter() {
@@ -898,15 +730,15 @@ mod tests {
         }
         let pipeline = GeolocationPipeline::default().min_posts(10).threads(2);
         let mut batched = StreamingPipeline::new(pipeline.clone());
-        batched.ingest_set(&traces);
+        ingest_all(&batched, &traces);
         let mut serial = StreamingPipeline::new(pipeline);
         for (user, ts) in &batch {
-            serial.ingest(user, std::slice::from_ref(ts));
+            ingest(&serial, user, std::slice::from_ref(ts));
         }
         assert_eq!(batched.posts_ingested(), serial.posts_ingested());
         assert_eq!(
-            report_json(&batched.snapshot().unwrap()),
-            report_json(&serial.snapshot().unwrap())
+            report_json(&snapshot(&mut batched).unwrap()),
+            report_json(&snapshot(&mut serial).unwrap())
         );
     }
 
@@ -920,22 +752,22 @@ mod tests {
         let pipeline = GeolocationPipeline::default().min_posts(10).threads(2);
         let mut stream = StreamingPipeline::new(pipeline.clone());
         for t in &all {
-            stream.ingest(t.id(), t.posts());
+            ingest(&stream, t.id(), t.posts());
         }
         // B = the back half of every user's history.
         for t in &all {
             let posts = t.posts();
-            stream.retract(t.id(), &posts[posts.len() / 2..]);
+            retract(&stream, t.id(), &posts[posts.len() / 2..]);
         }
         let mut fresh = StreamingPipeline::new(pipeline);
         for t in &all {
             let posts = t.posts();
-            fresh.ingest(t.id(), &posts[..posts.len() / 2]);
+            ingest(&fresh, t.id(), &posts[..posts.len() / 2]);
         }
         assert_eq!(stream.posts_ingested(), fresh.posts_ingested());
         assert_eq!(
-            report_json(&stream.snapshot().unwrap()),
-            report_json(&fresh.snapshot().unwrap())
+            report_json(&snapshot(&mut stream).unwrap()),
+            report_json(&snapshot(&mut fresh).unwrap())
         );
     }
 
@@ -946,23 +778,23 @@ mod tests {
         let traces = crowd("brazil", 20, 33);
         let pipeline = GeolocationPipeline::default().min_posts(5).threads(1);
         let mut stream = StreamingPipeline::new(pipeline.clone());
-        stream.ingest_set(&traces);
-        stream.snapshot().unwrap();
+        ingest_all(&stream, &traces);
+        snapshot(&mut stream).unwrap();
         let dropped: Vec<(String, Vec<Timestamp>)> = traces
             .iter()
             .take(10)
             .map(|t| (t.id().to_owned(), t.posts().to_vec()))
             .collect();
         for (u, p) in &dropped {
-            stream.retract(u, p);
+            retract(&stream, u, p);
         }
         let mut fresh = StreamingPipeline::new(pipeline);
         for t in traces.iter().skip(10) {
-            fresh.ingest(t.id(), t.posts());
+            ingest(&fresh, t.id(), t.posts());
         }
         assert_eq!(
-            report_json(&stream.snapshot().unwrap()),
-            report_json(&fresh.snapshot().unwrap())
+            report_json(&snapshot(&mut stream).unwrap()),
+            report_json(&snapshot(&mut fresh).unwrap())
         );
     }
 
@@ -978,20 +810,20 @@ mod tests {
         ];
         for i in 0..30 {
             let id = format!("u{i:02}");
-            stream.ingest(&id, &posts);
+            ingest(&stream, &id, &posts);
             for &p in &posts {
                 traces.record(&id, p);
             }
         }
-        let inc = stream.snapshot().unwrap();
+        let inc = snapshot(&mut stream).unwrap();
         let (hits, misses) = stream.cache_stats();
         assert_eq!(misses, 1, "one distinct profile shape");
         assert_eq!(hits, 29);
         // The cache never changes a byte: cache-off matches exactly.
         let off = {
             let mut s = StreamingPipeline::new(pipeline.placement_cache(false));
-            s.ingest_set(&traces);
-            s.snapshot().unwrap()
+            ingest_all(&s, &traces);
+            snapshot(&mut s).unwrap()
         };
         assert_eq!(report_json(&inc), report_json(&off));
     }
@@ -1034,7 +866,7 @@ mod tests {
         let mut posts = Posts::new();
         let feed =
             |stream: &mut StreamingPipeline, posts: &mut Posts, user: &str, new: Vec<Timestamp>| {
-                stream.ingest(user, &new);
+                ingest(stream, user, &new);
                 posts.entry(user.to_owned()).or_default().extend(new);
             };
         for u in 0..1000 {
@@ -1047,14 +879,14 @@ mod tests {
         }
         // Nine posts: one short of the threshold; sorts mid-crowd.
         feed(&mut stream, &mut posts, "u0150x", evening_posts(150, 0, 9));
-        let first = stream.snapshot().unwrap();
+        let first = snapshot(&mut stream).unwrap();
         let first_bytes = report_json(&first);
         assert_eq!(first_bytes, batch(&posts));
         assert!(first.profiles().chunks().len() > 10);
 
         // A kept user changes: one chunk per row list is copied.
         feed(&mut stream, &mut posts, "u0037", evening_posts(37, 100, 1));
-        let second = stream.snapshot().unwrap();
+        let second = snapshot(&mut stream).unwrap();
         let second_bytes = report_json(&second);
         assert_eq!(second_bytes, batch(&posts));
         assert_eq!(fresh_chunks(first.profiles(), second.profiles()), 1);
@@ -1064,19 +896,19 @@ mod tests {
         // which splits it into two fresh halves.
         let tenth = evening_posts(150, 9, 1);
         feed(&mut stream, &mut posts, "u0150x", tenth.clone());
-        let third = stream.snapshot().unwrap();
+        let third = snapshot(&mut stream).unwrap();
         assert_eq!(report_json(&third), batch(&posts));
         assert_eq!(third.users_classified(), second.users_classified() + 1);
         assert!(fresh_chunks(second.profiles(), third.profiles()) <= 2);
         assert!(fresh_chunks(second.placements(), third.placements()) <= 2);
 
         // Retracting that post drops u0150x again: a remove.
-        stream.retract("u0150x", &tenth);
+        retract(&stream, "u0150x", &tenth);
         posts
             .get_mut("u0150x")
             .unwrap()
             .retain(|p| !tenth.contains(p));
-        let fourth = stream.snapshot().unwrap();
+        let fourth = snapshot(&mut stream).unwrap();
         assert_eq!(report_json(&fourth), second_bytes);
         assert!(fresh_chunks(third.profiles(), fourth.profiles()) <= 1);
         assert!(fresh_chunks(third.placements(), fourth.placements()) <= 1);

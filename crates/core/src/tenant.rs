@@ -65,6 +65,12 @@ pub struct TenantConfig {
     /// When set, the tenant fronts its engine with a [`WindowedPipeline`]:
     /// posts expire out of the analysis after the configured span and
     /// every publish appends a drift-trajectory point.
+    ///
+    /// Do not combine it with `durable_dir`: the window's queue of posts
+    /// awaiting expiry lives only in memory, so after a restart the posts
+    /// recovered from the log would never expire (and a retraction of
+    /// them would find nothing to retract). The HTTP service rejects
+    /// that combination.
     pub window: Option<WindowConfig>,
 }
 

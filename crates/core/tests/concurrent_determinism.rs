@@ -1,10 +1,10 @@
 //! Determinism must survive concurrency (ISSUE 8): reports published by
 //! the multi-writer [`ConcurrentStreamingPipeline`] are byte-identical
-//! (through `serde_json`) to the single-owner `&mut` path fed the same
-//! deltas — for every writer count × shard count × zone grid, with and
-//! without durability — and every report observed *mid-ingest* equals
-//! the sequential snapshot of exactly the per-writer batch prefixes its
-//! watermark vector names.
+//! (through `serde_json`) to batch analysis of the same posts — for
+//! every writer count × shard count × zone grid, with and without
+//! durability — and every report observed *mid-ingest* equals the batch
+//! analysis of exactly the per-writer batch prefixes its watermark
+//! vector names.
 //!
 //! The schedules are **seeded**: which batches each writer sends, and
 //! in which order, is a pure function of the seed, so a failure here is
@@ -12,11 +12,9 @@
 
 use proptest::prelude::*;
 
-use crowdtz_core::{
-    ConcurrentStreamingPipeline, GeolocationPipeline, IngestWriter, StreamingPipeline, ZoneGrid,
-};
+use crowdtz_core::{ConcurrentStreamingPipeline, GeolocationPipeline, IngestWriter, ZoneGrid};
 use crowdtz_synth::PopulationSpec;
-use crowdtz_time::{RegionDb, Timestamp};
+use crowdtz_time::{RegionDb, Timestamp, TraceSet};
 
 const WRITER_GRID: [usize; 3] = [1, 2, 8];
 const SHARD_GRID: [usize; 3] = [1, 4, 16];
@@ -86,13 +84,19 @@ fn ingest(writer: &IngestWriter, user: &str, posts: &[Timestamp]) {
     assert!(writer.apply(&batch).unwrap());
 }
 
-/// The single-owner reference: all batches, sequentially, `&mut` path.
-fn sequential_json(batches: &[Batch], shards: usize, grid: ZoneGrid) -> String {
-    let mut engine = StreamingPipeline::new(pipeline(shards, grid));
+/// The reference: batch analysis of every post the batches carry.
+fn batch_json<'a>(
+    batches: impl IntoIterator<Item = &'a Batch>,
+    shards: usize,
+    grid: ZoneGrid,
+) -> String {
+    let mut traces = TraceSet::default();
     for (user, posts) in batches {
-        engine.ingest(user, posts);
+        for &p in posts {
+            traces.record(user, p);
+        }
     }
-    serde_json::to_string(&engine.snapshot().unwrap()).unwrap()
+    serde_json::to_string(&pipeline(shards, grid).analyze(&traces).unwrap()).unwrap()
 }
 
 /// The concurrent path: one thread per writer, then one publish.
@@ -116,7 +120,7 @@ fn concurrent_matches_single_owner_across_writers_and_shards() {
     for seed in [1u64, 2, 3] {
         let all = batches(seed);
         for shards in SHARD_GRID {
-            let want = sequential_json(&all, shards, ZoneGrid::Hourly);
+            let want = batch_json(&all, shards, ZoneGrid::Hourly);
             for writers in WRITER_GRID {
                 let got = concurrent_json(&deal(&all, writers), shards, ZoneGrid::Hourly);
                 assert_eq!(
@@ -132,7 +136,7 @@ fn concurrent_matches_single_owner_across_writers_and_shards() {
 fn concurrent_matches_single_owner_on_every_zone_grid() {
     let all = batches(7);
     for grid in [ZoneGrid::Hourly, ZoneGrid::HalfHour, ZoneGrid::QuarterHour] {
-        let want = sequential_json(&all, 4, grid);
+        let want = batch_json(&all, 4, grid);
         let got = concurrent_json(&deal(&all, 8), 4, grid);
         assert_eq!(got, want, "diverged on {grid:?}");
     }
@@ -141,7 +145,7 @@ fn concurrent_matches_single_owner_on_every_zone_grid() {
 #[test]
 fn durable_concurrent_matches_plain_sequential_and_recovers_identically() {
     let all = batches(11);
-    let want = sequential_json(&all, 4, ZoneGrid::Hourly);
+    let want = batch_json(&all, 4, ZoneGrid::Hourly);
 
     let dir =
         std::env::temp_dir().join(format!("crowdtz-concurrent-durable-{}", std::process::id()));
@@ -218,17 +222,16 @@ fn every_mid_ingest_report_equals_its_watermark_prefix_replayed() {
     drop(writers);
 
     // The final cut is the full run; every cut — including any caught
-    // mid-ingest — must equal the sequential replay of exactly the
+    // mid-ingest — must equal the batch analysis of exactly the
     // per-writer prefixes its watermark vector names: never torn, always
     // some-prefix-of-batches consistent.
     for report in &observed {
-        let mut reference = StreamingPipeline::new(pipeline(4, ZoneGrid::Hourly));
-        for (w, taken) in report.watermarks().iter().enumerate() {
-            for (user, posts) in schedules[w].iter().take(*taken as usize) {
-                reference.ingest(user, posts);
-            }
-        }
-        let want = serde_json::to_string(&reference.snapshot().unwrap()).unwrap();
+        let prefixes = report
+            .watermarks()
+            .iter()
+            .enumerate()
+            .flat_map(|(w, taken)| schedules[w].iter().take(*taken as usize));
+        let want = batch_json(prefixes, 4, ZoneGrid::Hourly);
         let got = serde_json::to_string(report.report()).unwrap();
         assert_eq!(
             got,
@@ -240,7 +243,7 @@ fn every_mid_ingest_report_equals_its_watermark_prefix_replayed() {
     let full = observed.last().expect("loop exits on the full cut");
     assert_eq!(
         serde_json::to_string(full.report()).unwrap(),
-        sequential_json(&all, 4, ZoneGrid::Hourly),
+        batch_json(&all, 4, ZoneGrid::Hourly),
         "final cut diverged from the full sequential reference"
     );
 }
@@ -274,7 +277,7 @@ fn mixed_batch_bytes_match_across_live_reopen_and_survivors() {
         .map(|(user, posts)| (user.clone(), posts[..posts.len() / 2].to_vec()))
         .chain(second.iter().cloned())
         .collect();
-    let want = sequential_json(&survivors, 4, ZoneGrid::Hourly);
+    let want = batch_json(&survivors, 4, ZoneGrid::Hourly);
 
     let dir = tmp_dir("mixed");
     let live = {
@@ -401,7 +404,7 @@ proptest! {
         shards in 1usize..8,
     ) {
         let all = batches(seed);
-        let want = sequential_json(&all, shards, ZoneGrid::Hourly);
+        let want = batch_json(&all, shards, ZoneGrid::Hourly);
         let got = concurrent_json(&deal(&all, writers), shards, ZoneGrid::Hourly);
         prop_assert_eq!(got, want);
     }

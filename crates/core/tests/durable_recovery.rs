@@ -10,8 +10,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crowdtz_core::{
-    Batch, ConcurrentStreamingPipeline, CoreError, GeolocationPipeline, IngestWriter,
-    StreamingPipeline, ZoneGrid,
+    Batch, ConcurrentStreamingPipeline, CoreError, GeolocationPipeline, IngestWriter, ZoneGrid,
 };
 use crowdtz_store::{FaultPlan, FaultStore};
 use crowdtz_time::Timestamp;
@@ -63,13 +62,14 @@ fn apply(
 }
 
 /// Feeds single-post observations to an in-memory reference engine.
-fn ingest_posts(engine: &mut StreamingPipeline, posts: &[(String, Timestamp)]) {
-    for (user, ts) in posts {
-        engine.ingest(user, std::slice::from_ref(ts));
-    }
+fn ingest_posts(writer: &IngestWriter, posts: &[(String, Timestamp)]) {
+    let refs: Vec<(&str, Timestamp)> = posts.iter().map(|(u, ts)| (u.as_str(), *ts)).collect();
+    writer.ingest_posts_ref(&refs).unwrap();
 }
 
-/// Published report serialized to a comparable string, or the error.
+/// Published report serialized to a comparable string; degenerate
+/// crowds may legitimately error, and then the error must be identical
+/// too.
 fn published_json(engine: &ConcurrentStreamingPipeline) -> String {
     match engine.publish() {
         Ok(r) => serde_json::to_string(r.report()).unwrap(),
@@ -81,23 +81,15 @@ fn pipeline() -> GeolocationPipeline {
     GeolocationPipeline::default().min_posts(1)
 }
 
-/// Snapshot serialized to a comparable string; degenerate crowds may
-/// legitimately error, and then the error must be identical too.
-fn snapshot_json(engine: &mut StreamingPipeline) -> String {
-    match engine.snapshot() {
-        Ok(r) => serde_json::to_string(&r).unwrap(),
-        Err(e) => format!("error: {e}"),
-    }
-}
-
 /// The never-crashed reference: a plain in-memory engine fed batches
 /// `1..=upto`.
 fn reference_json(seed: u64, upto: u64) -> String {
-    let mut engine = StreamingPipeline::new(pipeline());
+    let engine = ConcurrentStreamingPipeline::new(pipeline());
+    let writer = engine.writer();
     for b in 1..=upto {
-        ingest_posts(&mut engine, &batch(seed, b));
+        ingest_posts(&writer, &batch(seed, b));
     }
-    snapshot_json(&mut engine)
+    published_json(&engine)
 }
 
 #[test]
@@ -245,11 +237,12 @@ fn quarter_grid_placements_survive_restart_exactly() {
         .collect();
 
     let reference = {
-        let mut engine = StreamingPipeline::new(quarter());
+        let engine = ConcurrentStreamingPipeline::new(quarter());
+        let writer = engine.writer();
         for posts in &shifted {
-            ingest_posts(&mut engine, posts);
+            ingest_posts(&writer, posts);
         }
-        snapshot_json(&mut engine)
+        published_json(&engine)
     };
     // `zone_minutes` is serialized only when nonzero, so its presence
     // proves the workload actually exercises sub-hour offsets.

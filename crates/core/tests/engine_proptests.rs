@@ -3,8 +3,8 @@
 //! profiles — not just the shapes the unit tests pick by hand.
 
 use crowdtz_core::{
-    place_distribution, place_user, ActivityProfile, GenericProfile, GeolocationPipeline,
-    PlacementEngine, StreamingPipeline, ZoneGrid,
+    place_distribution, place_user, ActivityProfile, Batch, ConcurrentStreamingPipeline,
+    GenericProfile, GeolocationPipeline, PlacementEngine, ZoneGrid,
 };
 use crowdtz_stats::{Distribution24, BINS};
 use crowdtz_time::{Timestamp, TraceSet, TzOffset, UserTrace};
@@ -150,16 +150,19 @@ proptest! {
                 .threads(threads)
                 .min_posts(1);
             let Ok(batch) = base.clone().analyze(&traces) else { continue };
+            let deltas: Vec<(&str, &[Timestamp])> =
+                traces.iter().map(|t| (t.id(), t.posts())).collect();
             for shards in [1usize, 4, 16] {
                 for cache in [true, false] {
-                    let mut streaming = StreamingPipeline::new(
+                    let streaming = ConcurrentStreamingPipeline::new(
                         base.clone().shards(shards).placement_cache(cache),
                     );
-                    streaming.ingest_set(&traces);
-                    let snap = streaming.snapshot().unwrap();
+                    let ingest = Batch { ingest: &deltas, ..Batch::default() };
+                    streaming.writer().apply(&ingest).unwrap();
+                    let snap = streaming.publish().unwrap();
                     prop_assert_eq!(
                         batch.placements(),
-                        snap.placements(),
+                        snap.report().placements(),
                         "grid {} shards {} cache {}",
                         grid,
                         shards,

@@ -6,9 +6,9 @@
 //! behaviour for India (+5:30), central Australia (+9:30), and
 //! Newfoundland (−3:30).
 
-use crowdtz_core::GeolocationPipeline;
+use crowdtz_core::{Batch, ConcurrentStreamingPipeline, GeolocationPipeline};
 use crowdtz_synth::PopulationSpec;
-use crowdtz_time::{RegionDb, TraceSet};
+use crowdtz_time::{RegionDb, Timestamp, TraceSet};
 
 fn crowd(region: &str, seed: u64) -> TraceSet {
     let db = RegionDb::extended();
@@ -63,12 +63,16 @@ fn half_hour_crowds_survive_the_sharded_streaming_path() {
         .shards(4)
         .analyze(&traces)
         .unwrap();
-    let mut streaming =
-        crowdtz_core::StreamingPipeline::new(GeolocationPipeline::default().shards(4));
-    streaming.ingest_set(&traces);
-    let snapshot = streaming.snapshot().unwrap();
+    let streaming = ConcurrentStreamingPipeline::new(GeolocationPipeline::default().shards(4));
+    let deltas: Vec<(&str, &[Timestamp])> = traces.iter().map(|t| (t.id(), t.posts())).collect();
+    let ingest = Batch {
+        ingest: &deltas,
+        ..Batch::default()
+    };
+    streaming.writer().apply(&ingest).unwrap();
+    let snapshot = streaming.publish().unwrap();
     assert_eq!(
         serde_json::to_string(&batch).unwrap(),
-        serde_json::to_string(&snapshot).unwrap()
+        serde_json::to_string(snapshot.report()).unwrap()
     );
 }

@@ -6,12 +6,12 @@
 use std::sync::Arc;
 
 use crowdtz_core::{
-    ConcurrentStreamingPipeline, GeolocationPipeline, GeolocationReport, StreamingPipeline,
-    WindowConfig, WindowedPipeline,
+    Batch, ConcurrentStreamingPipeline, GeolocationPipeline, GeolocationReport, WindowConfig,
+    WindowedPipeline,
 };
 use crowdtz_obs::Observer;
 use crowdtz_synth::PopulationSpec;
-use crowdtz_time::{RegionDb, TraceSet};
+use crowdtz_time::{RegionDb, Timestamp, TraceSet};
 
 /// A two-region crowd (Japan UTC+9 and Brazil UTC−3) so polish, the
 /// mixture fit, and placement pruning all have real work to do.
@@ -35,6 +35,16 @@ fn two_region_crowd() -> TraceSet {
 
 fn full_json(report: &GeolocationReport) -> String {
     serde_json::to_string(report).unwrap()
+}
+
+/// Every trace of a set as one batch through a fresh writer.
+fn apply_traces(engine: &ConcurrentStreamingPipeline, traces: &TraceSet) {
+    let deltas: Vec<(&str, &[Timestamp])> = traces.iter().map(|t| (t.id(), t.posts())).collect();
+    let batch = Batch {
+        ingest: &deltas,
+        ..Batch::default()
+    };
+    engine.writer().apply(&batch).unwrap();
 }
 
 #[test]
@@ -67,9 +77,9 @@ fn observer_never_changes_streaming_output() {
             if let Some(obs) = observer {
                 pipeline = pipeline.observer(obs);
             }
-            let mut streaming = StreamingPipeline::new(pipeline);
-            streaming.ingest_set(&traces);
-            full_json(&streaming.snapshot().unwrap())
+            let streaming = ConcurrentStreamingPipeline::new(pipeline);
+            apply_traces(&streaming, &traces);
+            full_json(streaming.publish().unwrap().report())
         };
         assert_eq!(
             snapshot(None),
@@ -138,19 +148,23 @@ fn placement_cache_hits_appear_on_repeated_profiles() {
     // A low-post crowd where every user shares one profile shape: the
     // first resolution misses, the rest hit.
     let observer = Observer::from_env();
-    let mut streaming = StreamingPipeline::new(
+    let streaming = ConcurrentStreamingPipeline::new(
         GeolocationPipeline::default()
             .min_posts(1)
             .observer(Arc::clone(&observer)),
     );
     let posts = [
-        crowdtz_time::Timestamp::from_secs(20 * 3_600),
-        crowdtz_time::Timestamp::from_secs(86_400 + 20 * 3_600),
+        Timestamp::from_secs(20 * 3_600),
+        Timestamp::from_secs(86_400 + 20 * 3_600),
     ];
+    let mut traces = TraceSet::default();
     for i in 0..25 {
-        streaming.ingest(&format!("u{i:02}"), &posts);
+        for &p in &posts {
+            traces.record(&format!("u{i:02}"), p);
+        }
     }
-    streaming.snapshot().unwrap();
+    apply_traces(&streaming, &traces);
+    streaming.publish().unwrap();
     let metrics = observer.snapshot();
     assert_eq!(metrics.counters["placement.cache_misses"], 1);
     assert_eq!(metrics.counters["placement.cache_hits"], 24);
@@ -161,13 +175,13 @@ fn placement_cache_hits_appear_on_repeated_profiles() {
 fn shard_occupancy_gauges_partition_the_crowd() {
     let traces = two_region_crowd();
     let observer = Observer::from_env();
-    let mut streaming = StreamingPipeline::new(
+    let streaming = ConcurrentStreamingPipeline::new(
         GeolocationPipeline::default()
             .shards(4)
             .observer(Arc::clone(&observer)),
     );
-    streaming.ingest_set(&traces);
-    streaming.snapshot().unwrap();
+    apply_traces(&streaming, &traces);
+    streaming.publish().unwrap();
     let metrics = observer.snapshot();
     let total: f64 = (0..4)
         .map(|i| metrics.gauges[&format!("shard.{i:02}.users")])
@@ -179,29 +193,28 @@ fn shard_occupancy_gauges_partition_the_crowd() {
 fn streaming_dirty_gauge_tracks_delta_size() {
     let traces = two_region_crowd();
     let observer = Observer::from_env();
-    let mut streaming =
-        StreamingPipeline::new(GeolocationPipeline::default().observer(Arc::clone(&observer)));
-    streaming.ingest_set(&traces);
-    streaming.snapshot().unwrap();
+    let streaming = ConcurrentStreamingPipeline::new(
+        GeolocationPipeline::default().observer(Arc::clone(&observer)),
+    );
+    apply_traces(&streaming, &traces);
+    streaming.publish().unwrap();
     // Everything was dirty on the priming snapshot.
     let total_users = traces.iter().count() as f64;
     assert_eq!(observer.snapshot().gauges["streaming.dirty"], total_users);
 
     // Touch exactly three users; the next refresh must gauge exactly 3.
     let ids: Vec<String> = traces.iter().take(3).map(|t| t.id().to_string()).collect();
+    let writer = streaming.writer();
     for (i, id) in ids.iter().enumerate() {
-        streaming.ingest(
-            id,
-            &[crowdtz_time::Timestamp::from_secs(
-                86_400 * (i as i64 + 400),
-            )],
-        );
+        let post = Timestamp::from_secs(86_400 * (i as i64 + 400));
+        writer.ingest_posts_ref(&[(id, post)]).unwrap();
     }
-    streaming.snapshot().unwrap();
+    streaming.publish().unwrap();
     let metrics = observer.snapshot();
     assert_eq!(metrics.gauges["streaming.dirty"], 3.0);
     assert_eq!(metrics.counters["streaming.snapshots"], 2);
-    // `ingest_set` ingests one delta per trace, plus the three touches.
+    // The priming batch carries one delta per trace, plus the three
+    // touches.
     assert_eq!(
         metrics.counters["streaming.deltas"],
         total_users as u64 + ids.len() as u64

@@ -9,7 +9,8 @@
 //! variable).
 
 use crowdtz_core::{
-    ActivityProfile, GenericProfile, GeolocationPipeline, PlacementEngine, ZoneGrid,
+    ActivityProfile, Batch, ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline,
+    PlacementEngine, ZoneGrid,
 };
 use crowdtz_synth::PopulationSpec;
 use crowdtz_time::{RegionDb, Timestamp, TraceSet, TzOffset, UserTrace};
@@ -168,12 +169,16 @@ fn quarter_hour_crowds_survive_the_sharded_streaming_path() {
         .shards(4)
         .analyze(&traces)
         .unwrap();
-    let mut streaming =
-        crowdtz_core::StreamingPipeline::new(pipeline_on(ZoneGrid::QuarterHour).shards(4));
-    streaming.ingest_set(&traces);
-    let snapshot = streaming.snapshot().unwrap();
+    let streaming = ConcurrentStreamingPipeline::new(pipeline_on(ZoneGrid::QuarterHour).shards(4));
+    let deltas: Vec<(&str, &[Timestamp])> = traces.iter().map(|t| (t.id(), t.posts())).collect();
+    let ingest = Batch {
+        ingest: &deltas,
+        ..Batch::default()
+    };
+    streaming.writer().apply(&ingest).unwrap();
+    let snapshot = streaming.publish().unwrap();
     assert_eq!(
         serde_json::to_string(&batch).unwrap(),
-        serde_json::to_string(&snapshot).unwrap()
+        serde_json::to_string(snapshot.report()).unwrap()
     );
 }

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 
-use crowdtz_core::{GeolocationPipeline, GeolocationReport, StreamingPipeline};
+use crowdtz_core::{Batch, ConcurrentStreamingPipeline, GeolocationPipeline, GeolocationReport};
 use crowdtz_synth::PopulationSpec;
 use crowdtz_time::{RegionDb, Timestamp, TraceSet};
 
@@ -51,15 +51,16 @@ fn numeric_json(report: &GeolocationReport) -> String {
     .unwrap()
 }
 
+/// One batch of every trace, its shards spread over `threads` workers,
+/// then one snapshot: what batch analysis runs.
 fn snapshot_json(traces: &TraceSet, shards: usize, threads: usize, cache: bool) -> String {
-    let mut streaming = StreamingPipeline::new(
-        GeolocationPipeline::default()
-            .shards(shards)
-            .threads(threads)
-            .placement_cache(cache),
-    );
-    streaming.ingest_set(traces);
-    numeric_json(&streaming.snapshot().unwrap())
+    let report = GeolocationPipeline::default()
+        .shards(shards)
+        .threads(threads)
+        .placement_cache(cache)
+        .analyze(traces)
+        .unwrap();
+    numeric_json(&report)
 }
 
 #[test]
@@ -122,8 +123,10 @@ fn incremental_rounds_are_shard_invariant() {
     // snapshot must be independent of how users were partitioned.
     let traces = two_region_crowd();
     let rounds = |shards: usize| {
-        let mut streaming =
-            StreamingPipeline::new(GeolocationPipeline::default().shards(shards).threads(2));
+        let streaming = ConcurrentStreamingPipeline::new(
+            GeolocationPipeline::default().shards(shards).threads(2),
+        );
+        let writer = streaming.writer();
         let mut ingested = TraceSet::default();
         let mut out = Vec::new();
         for round in 0..3 {
@@ -134,11 +137,15 @@ fn incremental_rounds_are_shard_invariant() {
                     cumulative.record(trace.id(), ts);
                 }
             }
-            for delta in cumulative.delta_from(&ingested) {
-                streaming.ingest(delta.0, &delta.1);
+            for (user, posts) in cumulative.delta_from(&ingested) {
+                let batch = Batch {
+                    ingest: &[(user, &posts)],
+                    ..Batch::default()
+                };
+                writer.apply(&batch).unwrap();
             }
             ingested = cumulative;
-            out.push(full_json(&streaming.snapshot().unwrap()));
+            out.push(full_json(streaming.publish().unwrap().report()));
         }
         out
     };
@@ -174,14 +181,13 @@ proptest! {
     fn random_crowds_are_shard_thread_and_cache_invariant(traces in arbitrary_traces()) {
         let pipeline = || GeolocationPipeline::default().min_posts(1);
         let snapshot = |shards: usize, threads: usize, cache: bool| {
-            let mut streaming = StreamingPipeline::new(
-                pipeline().shards(shards).threads(threads).placement_cache(cache),
-            );
-            streaming.ingest_set(&traces);
             // A degenerate random crowd may legitimately fail (all flat);
             // the failure itself must then be invariant too.
-            streaming
-                .snapshot()
+            pipeline()
+                .shards(shards)
+                .threads(threads)
+                .placement_cache(cache)
+                .analyze(&traces)
                 .map(|r| numeric_json(&r))
                 .map_err(|e| e.to_string())
         };

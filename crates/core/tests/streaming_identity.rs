@@ -6,9 +6,11 @@
 //! (see `.github/workflows/ci.yml`) alongside `parallel_determinism.rs`,
 //! so the env knob is exercised on the streaming path too.
 
-use crowdtz_core::{GeolocationPipeline, GeolocationReport, RefitMode, StreamingPipeline};
+use crowdtz_core::{
+    Batch, ConcurrentStreamingPipeline, GeolocationPipeline, GeolocationReport, IngestWriter,
+};
 use crowdtz_synth::PopulationSpec;
-use crowdtz_time::{RegionDb, TraceSet};
+use crowdtz_time::{RegionDb, Timestamp, TraceSet};
 
 /// A two-region crowd (Japan UTC+9 and Brazil UTC−3) so polish, the
 /// mixture, and the dirty-set bookkeeping all have real work to do.
@@ -50,6 +52,23 @@ fn numeric_json(report: &GeolocationReport) -> String {
     .unwrap()
 }
 
+/// Applies `(user, posts)` deltas as one batch.
+fn apply(writer: &IngestWriter, deltas: &[(&str, &[Timestamp])]) {
+    let batch = Batch {
+        ingest: deltas,
+        ..Batch::default()
+    };
+    writer.apply(&batch).unwrap();
+}
+
+/// Every trace of a set as one batch on a fresh engine, published once.
+fn publish_once(pipeline: GeolocationPipeline, traces: &TraceSet) -> GeolocationReport {
+    let engine = ConcurrentStreamingPipeline::new(pipeline);
+    let deltas: Vec<(&str, &[Timestamp])> = traces.iter().map(|t| (t.id(), t.posts())).collect();
+    apply(&engine.writer(), &deltas);
+    engine.publish().unwrap().report().clone()
+}
+
 /// The first `round + 1` of 3 index-chunks of every user's posts, as a
 /// cumulative trace set.
 fn cumulative_rounds(traces: &TraceSet, round: usize) -> TraceSet {
@@ -71,9 +90,7 @@ fn streaming_snapshot_is_byte_identical_to_batch_across_thread_counts() {
             .threads(threads)
             .analyze(&traces)
             .unwrap();
-        let mut streaming = StreamingPipeline::new(GeolocationPipeline::default().threads(threads));
-        streaming.ingest_set(&traces);
-        let snapshot = streaming.snapshot().unwrap();
+        let snapshot = publish_once(GeolocationPipeline::default().threads(threads), &traces);
         assert_eq!(
             full_json(&batch),
             full_json(&snapshot),
@@ -86,21 +103,23 @@ fn streaming_snapshot_is_byte_identical_to_batch_across_thread_counts() {
 fn incremental_rounds_match_batch_at_every_thread_count() {
     let traces = two_region_crowd();
     for threads in [1usize, 2, 8] {
-        let mut streaming = StreamingPipeline::new(GeolocationPipeline::default().threads(threads));
+        let streaming =
+            ConcurrentStreamingPipeline::new(GeolocationPipeline::default().threads(threads));
+        let writer = streaming.writer();
         let mut ingested = TraceSet::default();
         for round in 0..3 {
             // Stream only this round's delta; batch re-analyzes the
             // cumulative traces from scratch.
             let cumulative = cumulative_rounds(&traces, round);
-            for delta in cumulative.delta_from(&ingested) {
-                streaming.ingest(delta.0, &delta.1);
+            for (user, posts) in cumulative.delta_from(&ingested) {
+                apply(&writer, &[(user, &posts)]);
             }
             ingested = cumulative.clone();
             let batch = GeolocationPipeline::default()
                 .threads(threads)
                 .analyze(&cumulative)
                 .unwrap();
-            let snapshot = streaming.snapshot().unwrap();
+            let snapshot = streaming.publish().unwrap().report().clone();
             assert_eq!(
                 full_json(&batch),
                 full_json(&snapshot),
@@ -111,46 +130,13 @@ fn incremental_rounds_match_batch_at_every_thread_count() {
 }
 
 #[test]
-fn warm_refit_snapshots_are_byte_identical_across_thread_counts() {
-    // Warm-started refits need not match the cold fit bit-for-bit, but
-    // they must still never depend on the worker-thread count.
-    let traces = two_region_crowd();
-    let rounds_json = |threads: usize| {
-        let mut streaming = StreamingPipeline::new(GeolocationPipeline::default().threads(threads))
-            .refit_mode(RefitMode::warm());
-        let mut ingested = TraceSet::default();
-        let mut out = Vec::new();
-        for round in 0..3 {
-            let cumulative = cumulative_rounds(&traces, round);
-            for delta in cumulative.delta_from(&ingested) {
-                streaming.ingest(delta.0, &delta.1);
-            }
-            ingested = cumulative;
-            out.push(numeric_json(&streaming.snapshot().unwrap()));
-        }
-        out
-    };
-    let baseline = rounds_json(1);
-    for threads in [2usize, 8] {
-        assert_eq!(
-            baseline,
-            rounds_json(threads),
-            "warm refit diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
 fn env_default_thread_count_changes_nothing_for_streaming() {
     // Whatever CROWDTZ_THREADS (or the machine's parallelism) resolves
     // to, the default-threaded streaming snapshot must match the
     // single-threaded one.
     let traces = two_region_crowd();
-    let snapshot_json = |pipeline: GeolocationPipeline| {
-        let mut streaming = StreamingPipeline::new(pipeline);
-        streaming.ingest_set(&traces);
-        numeric_json(&streaming.snapshot().unwrap())
-    };
+    let snapshot_json =
+        |pipeline: GeolocationPipeline| numeric_json(&publish_once(pipeline, &traces));
     assert_eq!(
         snapshot_json(GeolocationPipeline::default()),
         snapshot_json(GeolocationPipeline::default().threads(1))

@@ -7,14 +7,14 @@
 //! of 1 week to a full year and report how many users become classifiable
 //! and how accurate the placement is.
 //!
-//! The monitor feeds a [`StreamingPipeline`] between rounds: each poll's
-//! batch of *new* observations is routed across the engine's accumulator
-//! shards in one concurrent pass, and the report is an incremental
-//! snapshot — byte-identical to re-analyzing the accumulated traces from
-//! scratch, but touching only the users that actually posted in the
-//! round.
+//! The monitor feeds a [`ConcurrentStreamingPipeline`] through one
+//! writer: each poll's batch of *new* observations is applied as one
+//! batch across the engine's accumulator shards, and the report is an
+//! incremental publish — byte-identical to re-analyzing the accumulated
+//! traces from scratch, but touching only the users that actually posted
+//! in the round.
 
-use crowdtz_core::{GenericProfile, GeolocationPipeline, StreamingPipeline};
+use crowdtz_core::{ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline};
 use crowdtz_forum::SimulatedForum;
 use crowdtz_forum::{CrowdComponent, ForumHost, ForumSpec, Scraper, TimestampPolicy};
 use crowdtz_time::{CivilDateTime, Timestamp};
@@ -40,7 +40,8 @@ pub fn run(config: &Config) -> ExperimentOutput {
         .publish(ForumHost::new(forum).into_hidden_service(config.seed))
         .expect("publish");
     let pipeline = GeolocationPipeline::with_generic(GenericProfile::reference());
-    let mut streaming = StreamingPipeline::new(pipeline);
+    let streaming = ConcurrentStreamingPipeline::new(pipeline);
+    let writer = streaming.writer();
 
     // One monitor for the whole year: each round observes only the posts
     // since the previous round's end and streams them into the engine.
@@ -69,15 +70,18 @@ pub fn run(config: &Config) -> ExperimentOutput {
         let to = start + days * 86_400;
         monitor
             .run_batched(previous_end, to, 1_800, |batch| {
-                for (user, ts) in batch {
-                    streaming.ingest(user, std::slice::from_ref(ts));
-                }
+                let posts: Vec<(&str, Timestamp)> = batch
+                    .iter()
+                    .map(|(user, ts)| (user.as_str(), *ts))
+                    .collect();
+                writer.ingest_posts_ref(&posts).expect("in-memory ingest");
             })
             .expect("monitor");
         previous_end = to;
         let (posts, dirty) = (streaming.posts_ingested(), streaming.dirty_users());
-        match streaming.snapshot() {
-            Ok(report) => {
+        match streaming.publish() {
+            Ok(published) => {
+                let report = published.report();
                 let mean = report.mixture().dominant().map(|c| c.mean).unwrap_or(99.0);
                 out.line(format!(
                     "{label:<10} {posts:>6} {dirty:>6} {:>12} {:>+14.2}",

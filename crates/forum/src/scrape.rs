@@ -679,10 +679,10 @@ impl Monitor {
     /// observation into `sink` as `(author, observed time)` the moment it
     /// is made instead of accumulating a [`TraceSet`].
     ///
-    /// This is the feed for incremental analysis: point the sink at
-    /// `crowdtz_core::StreamingPipeline::ingest` and snapshot between
-    /// monitoring rounds, rather than re-analyzing the accumulated traces
-    /// from scratch. Because the monitor itself is incremental
+    /// This is the feed for incremental analysis: point the sink at an
+    /// ingest writer of the engine (`crowdtz_core::IngestWriter`) and
+    /// publish between monitoring rounds, rather than re-analyzing the
+    /// accumulated traces from scratch. Because the monitor itself is incremental
     /// (`last_seen` only advances), consecutive calls over adjacent
     /// windows observe each post exactly once.
     ///

@@ -2,7 +2,7 @@
 //!
 //! [`AnalysisService`] is transport-light — it maps one parsed
 //! [`Request`] to one [`Response`] against a
-//! [`TenantRegistry`](crowdtz_core::TenantRegistry), with all per-route
+//! [`TenantRegistry`], with all per-route
 //! metrics recorded out of band. The connection loop in `server.rs`
 //! owns sockets; nothing here does I/O.
 //!
@@ -10,7 +10,7 @@
 //!
 //! | Method | Path | Meaning |
 //! |---|---|---|
-//! | `POST` | `/v1/tenants/{forum}` | create a tenant (JSON config body, optional `window` object) |
+//! | `POST` | `/v1/tenants/{forum}` | create a tenant (JSON config body, optional `window` object; a windowed tenant cannot be `durable`) |
 //! | `POST` | `/v1/tenants/{forum}/ingest` | ingest delta batches, returns the writer watermark |
 //! | `POST` | `/v1/tenants/{forum}/retract` | retract previously ingested posts (same body shape) |
 //! | `GET`  | `/v1/tenants/{forum}/snapshot` | newest published report (`?publish=1` cuts a fresh one) |
@@ -320,7 +320,15 @@ impl AnalysisService {
             Ok(window) => config.window = window,
             Err(message) => return Response::error(400, &message),
         }
-        match field_of(&spec, "durable") {
+        let durable = field_of(&spec, "durable");
+        if config.window.is_some() && matches!(durable, Some(serde_json::Value::Bool(true))) {
+            return Response::error(
+                400,
+                "a windowed tenant cannot be durable: its expiry queue is kept only in \
+                 memory, so posts recovered after a restart would never expire",
+            );
+        }
+        match durable {
             None => {}
             Some(serde_json::Value::Bool(false)) => {}
             Some(serde_json::Value::Bool(true)) => match &self.config.durable_root {
@@ -979,6 +987,12 @@ mod tests {
             ("POST", "/v1/tenants/beta", br#"{"shards": -4}"#, 400),
             ("POST", "/v1/tenants/beta", br#"{"durable": true}"#, 503),
             ("POST", "/v1/tenants/beta", br#"{"window": 5}"#, 400),
+            (
+                "POST",
+                "/v1/tenants/beta",
+                br#"{"durable": true, "window": {}}"#,
+                400,
+            ),
             (
                 "POST",
                 "/v1/tenants/beta",

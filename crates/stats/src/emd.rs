@@ -88,7 +88,7 @@ pub fn circular_emd_cdf(p_cdf: &[f64; BINS], q_cdf: &[f64; BINS]) -> f64 {
 /// summation order makes the bits a function of the difference multiset
 /// alone, which is what lets the lane-parallel batch kernel
 /// ([`crate::SortNetwork`]) reproduce this value exactly — see the
-/// determinism discussion in [`crate::kernel`].
+/// determinism discussion in the `kernel` module.
 pub fn circular_emd_of_cdf_diff(diffs: &[f64; BINS]) -> f64 {
     let mut scratch = *diffs;
     crate::kernel::circular_emd_of_cdf_diff_scratch(&mut scratch)

@@ -51,8 +51,7 @@ pub use error::StatsError;
 pub use fitmetrics::FitQuality;
 pub use gaussian::{fit_gaussian, GaussianCurve};
 pub use gmm::{
-    em, em_warm, select_components, EmConfig, GaussianComponent, GaussianMixture,
-    SelectionCriterion,
+    em, select_components, EmConfig, GaussianComponent, GaussianMixture, SelectionCriterion,
 };
 pub use kernel::{
     batch_min_argmin, batch_quad_bounds, circular_emd_lower_bound_slice,

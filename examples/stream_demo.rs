@@ -7,14 +7,15 @@
 //! ```
 //!
 //! Synthesizes a two-region crowd (60% Tokyo UTC+9, 40% São Paulo UTC−3)
-//! as traces, primes a [`StreamingPipeline`] with it, then plays 50
-//! monitoring rounds in which ~1% of the users post again. Each round is
-//! analyzed twice: a from-scratch batch run over the cumulative traces,
-//! and an incremental snapshot that re-places only the dirty users. The
-//! reports are byte-identical every round; only the wall-clock differs.
+//! as traces, primes an in-memory [`ConcurrentStreamingPipeline`] with it
+//! through one writer, then plays 50 monitoring rounds in which ~1% of
+//! the users post again. Each round is analyzed twice: a from-scratch
+//! batch run over the cumulative traces, and an incremental publish that
+//! re-places only the dirty users. The reports are byte-identical every
+//! round; only the wall-clock differs.
 //!
 //! With `--durable DIR` the demo runs the crash-safe engine instead
-//! (a durable [`ConcurrentStreamingPipeline`]): every round is one
+//! (the same engine opened durable): every round is one
 //! sequence-numbered [`Batch`] in `DIR`'s write-ahead log, and the
 //! final report lands in `DIR/final_report.json`. Because
 //! the workload is derived deterministically from the seed, re-running
@@ -27,7 +28,6 @@ use std::time::Instant;
 
 use crowdtz::core::{
     Batch, ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline, IngestWriter,
-    StreamingPipeline,
 };
 use crowdtz::time::{Timestamp, TraceSet, UserTrace};
 use rand::rngs::StdRng;
@@ -195,9 +195,15 @@ fn main() {
     let pipeline = || GeolocationPipeline::default();
 
     println!("priming the streaming engine…");
-    let mut streaming = StreamingPipeline::new(pipeline());
-    streaming.ingest_set(&cumulative);
-    streaming.snapshot().expect("priming snapshot");
+    let streaming = ConcurrentStreamingPipeline::new(pipeline());
+    let writer = streaming.writer();
+    let crowd: Vec<(&str, &[Timestamp])> = cumulative.iter().map(|t| (t.id(), t.posts())).collect();
+    let priming = Batch {
+        ingest: &crowd,
+        ..Batch::default()
+    };
+    writer.apply(&priming).expect("in-memory ingest");
+    streaming.publish().expect("priming snapshot");
 
     println!("playing {rounds} monitor rounds, ~{dirty_per_round} active users each…");
     let mut rng = StdRng::seed_from_u64(7);
@@ -206,25 +212,34 @@ fn main() {
     let mut last_pair = None;
     for round in 1..=rounds as i64 {
         // ~1% of the crowd posts once this round.
+        let mut posts: Vec<(String, Timestamp)> = Vec::with_capacity(dirty_per_round);
         for _ in 0..dirty_per_round {
             let user = format!("u{:06}", rng.gen_range(0..users));
             let ts = Timestamp::from_secs(40 * 86_400 + round * 86_400 + rng.gen_range(0..86_400));
             cumulative.record(&user, ts);
-            streaming.ingest(&user, &[ts]);
+            posts.push((user, ts));
         }
+        let round_posts: Vec<(&str, Timestamp)> = posts
+            .iter()
+            .map(|(user, ts)| (user.as_str(), *ts))
+            .collect();
+        writer
+            .ingest_posts_ref(&round_posts)
+            .expect("in-memory ingest");
 
         let start = Instant::now();
         let batch = pipeline().analyze(&cumulative).expect("batch analyze");
         batch_total += start.elapsed().as_secs_f64();
 
         let start = Instant::now();
-        let snapshot = streaming.snapshot().expect("incremental snapshot");
+        let snapshot = streaming.publish().expect("incremental snapshot");
         incremental_total += start.elapsed().as_secs_f64();
 
-        // Snapshots share their per-user row chunks with the engine; a
-        // report held across the next refresh costs that refresh one chunk
-        // copy per dirty user. Drop each round's reports (keeping only the
-        // last) so the steady-state monitoring cost is what gets measured.
+        // Published reports share their per-user row chunks with the
+        // engine; a report held across the next refresh costs that refresh
+        // one chunk copy per dirty user. Drop each round's reports (keeping
+        // only the last) so the steady-state monitoring cost is what gets
+        // measured.
         if round == rounds as i64 {
             last_pair = Some((batch, snapshot));
         }
@@ -237,10 +252,11 @@ fn main() {
         batch_total / incremental_total
     );
 
-    let (batch, snapshot) = last_pair.expect("at least one round ran");
+    let (batch, published) = last_pair.expect("at least one round ran");
+    let snapshot = published.report();
     assert_eq!(
         serde_json::to_string(&batch).expect("serialize"),
-        serde_json::to_string(&snapshot).expect("serialize"),
+        serde_json::to_string(snapshot).expect("serialize"),
         "incremental snapshot diverged from batch — identity invariant broken"
     );
     println!("\nfinal-round reports are byte-identical; the crowd:");
@@ -251,9 +267,8 @@ fn main() {
     );
     let (hits, misses) = streaming.cache_stats();
     println!(
-        "engine: {} accumulator shards {:?}, placement cache {hits} hits / {misses} misses",
+        "engine: {} accumulator shards, placement cache {hits} hits / {misses} misses",
         streaming.shard_count(),
-        streaming.shard_occupancy(),
     );
     for (zone, weight) in snapshot.multi_fit().time_zones() {
         println!(

@@ -13,8 +13,8 @@
 //!
 //! Determinism carries over from the engine: once every monitor has
 //! finished, a [`publish`](ConcurrentStreamingPipeline::publish) is
-//! byte-identical to feeding the same polls through one sequential
-//! `StreamingPipeline` — regardless of how the threads interleaved.
+//! byte-identical to feeding the same polls through one writer in
+//! sequence — regardless of how the threads interleaved.
 //!
 //! ```no_run
 //! use crowdtz::live::run_concurrent;

@@ -2,7 +2,9 @@
 //! shared engine through `crowdtz::live::run_concurrent` must produce a
 //! report byte-identical to the same polls fed sequentially (ISSUE 8).
 
-use crowdtz::core::{ConcurrentStreamingPipeline, GeolocationPipeline, StreamingPipeline};
+use std::sync::Arc;
+
+use crowdtz::core::{ConcurrentStreamingPipeline, GeolocationPipeline, PublishedReport};
 use crowdtz::forum::{CrowdComponent, ForumHost, ForumSpec, Monitor, TimestampPolicy};
 use crowdtz::live::run_concurrent;
 use crowdtz::time::{CivilDateTime, Timestamp};
@@ -42,23 +44,31 @@ fn pipeline() -> GeolocationPipeline {
     GeolocationPipeline::default().min_posts(1)
 }
 
-#[test]
-fn concurrent_fleet_matches_sequential_replay() {
+/// Reference: each monitor's polls fed sequentially through one writer
+/// of a fresh engine (monitor order is irrelevant — deltas commute).
+fn sequential_replay() -> Arc<PublishedReport> {
     let (from, to, interval) = window();
-
-    // Reference: each monitor's polls fed sequentially into one plain
-    // engine (monitor order is irrelevant — deltas commute).
-    let mut reference = StreamingPipeline::new(pipeline());
+    let reference = ConcurrentStreamingPipeline::new(pipeline());
+    let writer = reference.writer();
     for monitor in &mut fleet() {
         monitor
             .run_batched(from, to, interval, |batch| {
-                for (user, ts) in batch {
-                    reference.ingest(user, std::slice::from_ref(ts));
-                }
+                let posts: Vec<(&str, Timestamp)> = batch
+                    .iter()
+                    .map(|(user, ts)| (user.as_str(), *ts))
+                    .collect();
+                writer.ingest_posts_ref(&posts).unwrap();
             })
             .unwrap();
     }
-    let want = serde_json::to_string(&reference.snapshot().unwrap()).unwrap();
+    reference.publish().unwrap()
+}
+
+#[test]
+fn concurrent_fleet_matches_sequential_replay() {
+    let (from, to, interval) = window();
+    let reference = sequential_replay();
+    let want = serde_json::to_string(reference.report()).unwrap();
 
     // Live: the same fleet on threads, one shared concurrent engine.
     let engine = ConcurrentStreamingPipeline::new(pipeline());
@@ -122,17 +132,7 @@ fn snapshots_during_a_live_run_are_never_torn() {
     });
 
     // After the crawl, one more publish matches the sequential world.
-    let mut reference = StreamingPipeline::new(pipeline());
-    for monitor in &mut fleet() {
-        monitor
-            .run_batched(from, to, interval, |batch| {
-                for (user, ts) in batch {
-                    reference.ingest(user, std::slice::from_ref(ts));
-                }
-            })
-            .unwrap();
-    }
-    let want = serde_json::to_string(&reference.snapshot().unwrap()).unwrap();
+    let want = serde_json::to_string(sequential_replay().report()).unwrap();
     let got = serde_json::to_string(engine.publish().unwrap().report()).unwrap();
     assert_eq!(
         got, want,

@@ -12,9 +12,7 @@
 
 use std::path::PathBuf;
 
-use crowdtz::core::{
-    Batch, ConcurrentStreamingPipeline, GeolocationPipeline, IngestWriter, StreamingPipeline,
-};
+use crowdtz::core::{Batch, ConcurrentStreamingPipeline, GeolocationPipeline, IngestWriter};
 use crowdtz::forum::{
     CrowdComponent, ForumHost, ForumSpec, Monitor, MonitorCheckpoint, TimestampPolicy,
 };
@@ -74,18 +72,13 @@ fn apply(writer: &IngestWriter, seq: u64, posts: &[(String, Timestamp)], checkpo
     writer.apply(&batch).unwrap()
 }
 
-fn ingest_posts(engine: &mut StreamingPipeline, posts: &[(String, Timestamp)]) {
-    for (user, ts) in posts {
-        engine.ingest(user, std::slice::from_ref(ts));
-    }
+fn ingest_posts(writer: &IngestWriter, posts: &[(String, Timestamp)]) {
+    let refs: Vec<(&str, Timestamp)> = posts.iter().map(|(u, ts)| (u.as_str(), *ts)).collect();
+    writer.ingest_posts_ref(&refs).unwrap();
 }
 
 fn published_json(engine: &ConcurrentStreamingPipeline) -> String {
     serde_json::to_string(engine.publish().unwrap().report()).unwrap()
-}
-
-fn report_json(engine: &mut StreamingPipeline) -> String {
-    serde_json::to_string(&engine.snapshot().expect("snapshot")).unwrap()
 }
 
 #[test]
@@ -93,17 +86,18 @@ fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
     let (from, to, interval) = window();
 
     // Reference: never-killed session into a plain in-memory engine.
-    let mut reference = StreamingPipeline::new(pipeline());
+    let reference = ConcurrentStreamingPipeline::new(pipeline());
+    let reference_writer = reference.writer();
     let mut total_batches = 0u64;
     fresh_monitor()
         .resume_run_batched(from, to, interval, MonitorCheckpoint::start(), |_, b, _| {
-            ingest_posts(&mut reference, b);
+            ingest_posts(&reference_writer, b);
             total_batches += 1;
             true
         })
         .unwrap();
     assert!(total_batches >= 3, "window too small to exercise a kill");
-    let want = report_json(&mut reference);
+    let want = published_json(&reference);
     let kill_after = total_batches / 2;
 
     let dir = tmp_dir("kill-restart");
@@ -165,7 +159,8 @@ fn killed_monitor_restarts_warm_and_matches_an_uninterrupted_run() {
 fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
     let (from, to, interval) = window();
 
-    let mut reference = StreamingPipeline::new(pipeline());
+    let reference = ConcurrentStreamingPipeline::new(pipeline());
+    let reference_writer = reference.writer();
     let mut checkpoints: Vec<MonitorCheckpoint> = Vec::new();
     fresh_monitor()
         .resume_run_batched(
@@ -174,14 +169,14 @@ fn stale_checkpoint_restart_dedupes_the_boundary_batch() {
             interval,
             MonitorCheckpoint::start(),
             |_, b, cp| {
-                ingest_posts(&mut reference, b);
+                ingest_posts(&reference_writer, b);
                 checkpoints.push(cp.clone());
                 true
             },
         )
         .unwrap();
     assert!(checkpoints.len() >= 3);
-    let want = report_json(&mut reference);
+    let want = published_json(&reference);
     let boundary = checkpoints.len() as u64 / 2 + 1;
 
     let dir = tmp_dir("stale-restart");

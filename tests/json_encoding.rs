@@ -10,8 +10,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crowdtz::core::{
-    ConcurrentStreamingPipeline, GeolocationPipeline, GeolocationReport, StreamingPipeline,
-    ZoneGrid,
+    Batch, ConcurrentStreamingPipeline, GeolocationPipeline, GeolocationReport, ZoneGrid,
 };
 use crowdtz::synth::PopulationSpec;
 use crowdtz::time::{RegionDb, Timestamp, TraceSet, UserTrace};
@@ -145,9 +144,15 @@ fn streaming_snapshot_bytes_equal_batch_report_bytes() {
     ] {
         let traces = crowd(region, 30, 3);
         let batch = compact(&pipeline(grid).analyze(&traces).unwrap());
-        let mut stream = StreamingPipeline::new(pipeline(grid));
-        stream.ingest_set(&traces);
-        let streamed = compact(&stream.snapshot().unwrap());
+        let stream = ConcurrentStreamingPipeline::new(pipeline(grid));
+        let deltas: Vec<(&str, &[Timestamp])> =
+            traces.iter().map(|t| (t.id(), t.posts())).collect();
+        let batch_of_all = Batch {
+            ingest: &deltas,
+            ..Batch::default()
+        };
+        stream.writer().apply(&batch_of_all).unwrap();
+        let streamed = compact(stream.publish().unwrap().report());
         assert!(
             streamed == batch,
             "{region}: streaming bytes != batch bytes"
@@ -180,14 +185,15 @@ fn durable_replay_keeps_report_bytes_with_and_without_retractions() {
         })
         .collect();
 
-    let mut reference = StreamingPipeline::new(pipeline(ZoneGrid::Hourly));
+    let reference = ConcurrentStreamingPipeline::new(pipeline(ZoneGrid::Hourly));
+    let reference_writer = reference.writer();
     for (user, ts) in &posts {
-        reference.ingest(user, std::slice::from_ref(ts));
+        reference_writer.ingest_posts_ref(&[(user, *ts)]).unwrap();
     }
     for (user, ts) in &retracted {
-        reference.retract(user, std::slice::from_ref(ts));
+        reference_writer.retract_posts_ref(&[(user, *ts)]).unwrap();
     }
-    let want = compact(&reference.snapshot().unwrap());
+    let want = compact(reference.publish().unwrap().report());
 
     let dir = tmp_dir("replay");
     {

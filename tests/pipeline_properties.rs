@@ -2,7 +2,8 @@
 //! randomized worlds.
 
 use crowdtz::core::{
-    place_distribution, GenericProfile, GeolocationPipeline, PlacementHistogram, StreamingPipeline,
+    place_distribution, Batch, ConcurrentStreamingPipeline, GenericProfile, GeolocationPipeline,
+    PlacementHistogram,
 };
 use crowdtz::synth::PopulationSpec;
 use crowdtz::time::{HolidayCalendar, Region, RegionDb, TzOffset, Zone};
@@ -131,14 +132,16 @@ proptest! {
         pieces.shuffle(&mut StdRng::seed_from_u64(shuffle_seed));
 
         let pipeline = || GeolocationPipeline::with_generic(GenericProfile::reference());
-        let mut streaming = StreamingPipeline::new(pipeline());
+        let streaming = ConcurrentStreamingPipeline::new(pipeline());
+        let writer = streaming.writer();
         for (user, piece) in pieces {
-            streaming.ingest(user, piece);
+            let delta = Batch { ingest: &[(user, piece)], ..Batch::default() };
+            writer.apply(&delta).unwrap();
         }
-        let snapshot = streaming.snapshot().expect("snapshot");
+        let snapshot = streaming.publish().expect("snapshot");
         let batch = pipeline().analyze(&traces).expect("analyze");
         prop_assert_eq!(
-            serde_json::to_string(&snapshot).unwrap(),
+            serde_json::to_string(snapshot.report()).unwrap(),
             serde_json::to_string(&batch).unwrap()
         );
     }
